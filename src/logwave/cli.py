@@ -4,8 +4,8 @@ One JSON config document drives every subcommand.  Sections and defaults:
 
     domain:  dim (required), length (required), modes_per_dim=8, oversample=2
     model:   gamma (required), unsafe_gamma=false, source_enabled=true
-    solver:  dt=1e-3, t_end=20.0, scheme="IMEX2", blowup_threshold=1e8,
-             report_every=10
+    solver:  dt=1e-3, t_end=20.0 (an integer multiple of dt), scheme="IMEX2",
+             blowup_threshold=1e8, report_every=10
     initial: type="eigenmode" | "random" | "file", amplitude (required for
              eigenmode/random), mode=[1,...], seed=0, path (required for file)
     well:    trial_count=32, safety=0.5, seed=0
@@ -135,6 +135,12 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{path}' must be true or false, got {value!r}")
+    return value
+
+
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{path}' must be an integer, got {value!r}")
@@ -165,8 +171,8 @@ def parse_config(text: str) -> RunConfig:
         model = ModelParams(
             gamma=_number(_get(doc, "model", "gamma", required=True), "model.gamma"),
             dim=domain.dim,
-            unsafe_gamma=bool(_get(doc, "model", "unsafe_gamma", False)),
-            source_enabled=bool(_get(doc, "model", "source_enabled", True)),
+            unsafe_gamma=_boolean(_get(doc, "model", "unsafe_gamma", False), "model.unsafe_gamma"),
+            source_enabled=_boolean(_get(doc, "model", "source_enabled", True), "model.source_enabled"),
         )
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
@@ -181,6 +187,13 @@ def parse_config(text: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
+    # integrate takes round(t_end / dt) steps and would silently move any other t_end
+    n_steps = solver.t_end / solver.dt
+    if not math.isclose(n_steps, round(n_steps), rel_tol=1e-9):
+        raise ConfigError(
+            f"'solver.t_end' ({solver.t_end!r}) must be an integer multiple of "
+            f"'solver.dt' ({solver.dt!r})"
+        )
 
     kind = str(_get(doc, "initial", "type", "eigenmode"))
     if kind not in ("eigenmode", "random", "file"):
@@ -249,12 +262,22 @@ def build_initial(cfg: RunConfig) -> tuple[ModalField, ModalField]:
         raw = random_band_limited(dom, np.random.default_rng(spec.seed))
         u0 = raw.scaled(spec.amplitude / math.sqrt(grad_norm_sq(raw)))
     else:
-        with np.load(spec.path) as data:
-            if "u0" not in data:
-                raise ConfigError(f"'{spec.path}' has no 'u0' array")
-            u0 = ModalField(dom, data["u0"] * spec.amplitude)
-            if "u1" in data:
-                u1 = ModalField(dom, data["u1"])
+        try:
+            with np.load(spec.path) as data:
+                arrays = {name: data[name] for name in ("u0", "u1") if name in data}
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"'initial.path' ({spec.path}): {exc}") from exc
+        if "u0" not in arrays:
+            raise ConfigError(f"'{spec.path}' has no 'u0' array")
+        for name, arr in arrays.items():
+            if arr.shape != dom.modal_shape:
+                raise ConfigError(
+                    f"'initial.path' ({spec.path}): '{name}' has shape {arr.shape}, "
+                    f"expected the modal band {dom.modal_shape}"
+                )
+        u0 = ModalField(dom, arrays["u0"] * spec.amplitude)
+        if "u1" in arrays:
+            u1 = ModalField(dom, arrays["u1"])
     return u0, u1
 
 

@@ -11,11 +11,15 @@ and L2 norms of band-limited fields are exact modal sums (Parseval); only
 integrals of non-polynomial quantities require quadrature.
 
 Grid representation uses the interior points x_j = j L / (N+1),
-j = 1..N with N = oversample * m per dimension.  On that grid the type-I
-discrete sine transform performs exact synthesis/analysis for the modal
-band, and the trapezoidal rule (weight h^n, boundary terms vanish) is exact
-for products of two in-band fields.  Quadrature of the logarithmic
-integrands is approximate; oversampling controls the error.
+j = 1..N with N = oversample * m per dimension.  Synthesis multiplies each
+axis by the N x m sine matrix S[j, k] = sin(pi j k / (N+1)) (j = 1..N,
+k = 1..m), and analysis by (2/(N+1)) S^T; by the discrete orthogonality of
+the first N sines on this grid, analysis inverts synthesis on the band.
+At these band sizes the precomputed-matrix product is cheaper than a padded
+FFT-based sine transform of length N+1 (Boyd, Chebyshev and Fourier Spectral
+Methods, 2nd ed., ch. 10).  The trapezoidal rule (weight h^n, boundary
+terms vanish) is exact for products of two in-band fields.  Quadrature of
+the logarithmic integrands is approximate; oversampling controls the error.
 
 Mode ordering is lexicographic over multi-indices, i.e. C order of the
 coefficient arrays.  All types are immutable after construction.
@@ -28,7 +32,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dstn
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,23 @@ class DomainSpec:
     @property
     def lambda_min(self) -> float:
         return self.dim * (np.pi / self.length) ** 2
+
+    @cached_property
+    def synthesis_matrix(self) -> np.ndarray:
+        """S[j, k] = sin(pi (j+1)(k+1) / (N+1)), shape (grid_per_dim, modes_per_dim)."""
+        n = self.grid_per_dim
+        jk = np.outer(np.arange(1, n + 1), np.arange(1, self.modes_per_dim + 1))
+        # reduce the integer phase mod 2(N+1) so every argument lies in [0, 2 pi)
+        s = np.sin(np.pi * (jk % (2 * (n + 1))) / (n + 1))
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def analysis_matrix(self) -> np.ndarray:
+        """(2/(N+1)) S^T, shape (modes_per_dim, grid_per_dim)."""
+        a = (2.0 / (self.grid_per_dim + 1)) * self.synthesis_matrix.T
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def axis_coordinates(self) -> np.ndarray:
@@ -196,22 +216,28 @@ class GridField:
         object.__setattr__(self, "values", arr)
 
 
-def _band_slices(domain: DomainSpec) -> tuple[slice, ...]:
-    return (slice(0, domain.modes_per_dim),) * domain.dim
-
-
 def synthesize(domain: DomainSpec, coeffs: np.ndarray) -> np.ndarray:
     """Evaluate modal coefficients on the quadrature grid (raw arrays)."""
-    padded = np.zeros(domain.grid_shape)
-    padded[_band_slices(domain)] = coeffs
-    # DST-I per axis carries a factor 2 relative to plain sine synthesis
-    return (0.5 ** domain.dim) * dstn(padded, type=1)
+    s = domain.synthesis_matrix
+    if domain.dim == 1:
+        return s @ coeffs
+    x = coeffs @ s.T
+    if domain.dim == 2:
+        return s @ x
+    x = s @ x
+    return (s @ x.reshape(domain.modes_per_dim, -1)).reshape(domain.grid_shape)
 
 
 def analyze(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
     """L2-project grid values onto the modal band (raw arrays)."""
-    full = dstn(values, type=1) / float(domain.grid_per_dim + 1) ** domain.dim
-    return full[_band_slices(domain)].copy()
+    a = domain.analysis_matrix
+    if domain.dim == 1:
+        return a @ values
+    x = values @ a.T
+    if domain.dim == 2:
+        return a @ x
+    x = a @ x
+    return (a @ x.reshape(domain.grid_per_dim, -1)).reshape(domain.modal_shape)
 
 
 def to_grid(f: ModalField) -> GridField:

@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
-from .domain import ModalField, analyze, grad_norm_sq, synthesize
+import numpy as np
+
+from .domain import DomainSpec, ModalField, analyze, grad_norm_sq, synthesize
 from .functionals import EnergyReport, ModelParams, energy, source_eval
 
 RUNNING = "RUNNING"
@@ -80,10 +83,16 @@ class IntegrationResult:
     states: list[SimState] | None = None
 
 
+def _adopt(domain: DomainSpec, coeffs: np.ndarray) -> ModalField:
+    """Wrap a freshly computed array that nothing else references, without a copy."""
+    coeffs.flags.writeable = False
+    return ModalField(domain, coeffs)
+
+
 def rhs_nonlinear(u: ModalField, params: ModelParams) -> ModalField:
     """Modal projection of the source: F = P_band f(u) in the eigenbasis."""
     values = source_eval(synthesize(u.domain, u.coeffs), params.gamma)
-    return ModalField(u.domain, analyze(u.domain, values))
+    return _adopt(u.domain, analyze(u.domain, values))
 
 
 def blowup_scan(state: SimState, threshold: float) -> str:
@@ -95,11 +104,34 @@ def blowup_scan(state: SimState, threshold: float) -> str:
     return RUNNING
 
 
+@lru_cache(maxsize=16)
+def _trapezoid(domain: DomainSpec, dt: float) -> tuple[np.ndarray, ...]:
+    """Per-mode coefficients of one trapezoidal step of the linear part.
+
+    The 2x2 solve of  a' = b,  b' = -lambda (a + b) + f  gives
+    a_new = aa a + ab b + af f  and  b_new = ba a + bb b + bf f.
+    """
+    half = 0.5 * dt * domain.eigenvalues
+    quarter = 0.5 * dt * half
+    det = 1.0 + half + quarter
+    ab = bf = dt / det
+    coeffs = (
+        (1.0 + half - quarter) / det, ab, 0.5 * dt * dt / det,
+        -2.0 * half / det, (1.0 - half - quarter) / det, bf,
+    )
+    for c in coeffs:
+        c.flags.writeable = False
+    return coeffs
+
+
 def step(state: SimState, cfg: SolverConfig, params: ModelParams) -> SimState:
     """Advance one time step; pure function of the state."""
     dom = state.u.domain
-    lam = dom.eigenvalues
-    dt = cfg.dt
+    aa, ab, af, ba, bb, bf = _trapezoid(dom, cfg.dt)
+    a = state.u.coeffs
+    b = state.ut.coeffs
+    a_new = aa * a + ab * b
+    b_new = ba * a + bb * b
 
     if params.source_enabled:
         f_now = rhs_nonlinear(state.u, params)
@@ -107,27 +139,18 @@ def step(state: SimState, cfg: SolverConfig, params: ModelParams) -> SimState:
             f_star = 1.5 * f_now.coeffs - 0.5 * state.source_prev.coeffs
         else:
             f_star = f_now.coeffs
+        a_new += af * f_star
+        b_new += bf * f_star
     else:
         f_now = None
-        f_star = 0.0
 
-    a = state.u.coeffs
-    b = state.ut.coeffs
-    half = 0.5 * dt * lam
-    det = 1.0 + half + 0.5 * dt * half
-    rhs1 = a + (0.5 * dt) * b
-    rhs2 = b - half * a - half * b + dt * f_star
-    a_new = ((1.0 + half) * rhs1 + (0.5 * dt) * rhs2) / det
-    b_new = (-half * rhs1 + rhs2) / det
-
-    u_new = ModalField(dom, a_new)
-    ut_new = ModalField(dom, b_new)
-    damp = state.damping_integral + 0.5 * dt * (
+    ut_new = _adopt(dom, b_new)
+    damp = state.damping_integral + 0.5 * cfg.dt * (
         grad_norm_sq(state.ut) + grad_norm_sq(ut_new)
     )
     count = state.step_count + 1
     return SimState(
-        u=u_new, ut=ut_new, t=count * dt, damping_integral=damp,
+        u=_adopt(dom, a_new), ut=ut_new, t=count * cfg.dt, damping_integral=damp,
         step_count=count, source_prev=f_now,
     )
 

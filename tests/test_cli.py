@@ -98,6 +98,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver.dt"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["unsafe_gamma", "source_enabled"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, []])
+    def test_booleans_must_be_json_booleans(self, key, value):
+        doc = dict(MINIMAL, model={"gamma": 4.0, key: value})
+        with pytest.raises(ConfigError, match=f"model.{key}"):
+            parse_config(json.dumps(doc))
+
+    def test_string_false_does_not_admit_unsafe_gamma(self, tmp_path):
+        cfg = fast_run_config(tmp_path, model={"gamma": 7.0, "unsafe_gamma": "false"})
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("t_end,dt", [(1.0, 0.3), (0.25, 0.1), (1e-4, 1e-3)])
+    def test_t_end_must_be_multiple_of_dt(self, tmp_path, t_end, dt):
+        doc = dict(MINIMAL, solver={"dt": dt, "t_end": t_end})
+        with pytest.raises(ConfigError, match="solver.t_end"):
+            parse_config(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("t_end,dt", [(0.5, 1e-3), (0.05, 1e-3), (20.0, 1e-3), (0.3, 0.1)])
+    def test_t_end_multiple_accepts_rounding(self, t_end, dt):
+        doc = dict(MINIMAL, solver={"dt": dt, "t_end": t_end})
+        assert parse_config(json.dumps(doc)).solver.t_end == t_end
+
 
 class TestBuildInitial:
     def test_eigenmode(self):
@@ -124,6 +148,22 @@ class TestBuildInitial:
         u0, u1 = build_initial(cfg)
         assert u0.coeffs[0, 0, 0] == 0.25
         assert not np.any(u1.coeffs)
+
+    @pytest.mark.parametrize("bad", ["u0", "u1"])
+    def test_from_file_wrong_shape(self, tmp_path, bad):
+        arrays = {"u0": np.zeros((4, 4, 4)), "u1": np.zeros((4, 4, 4))}
+        arrays[bad] = np.zeros((3, 3, 3))
+        npz = tmp_path / "init.npz"
+        np.savez(npz, **arrays)
+        cfg = fast_run_config(tmp_path, initial={"type": "file", "path": str(npz)})
+        with pytest.raises(ConfigError, match=f"initial.path.*'{bad}'"):
+            build_initial(parse_config((tmp_path / "config.json").read_text()))
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+
+    def test_from_missing_file(self, tmp_path):
+        cfg = fast_run_config(tmp_path, initial={"type": "file",
+                                                 "path": str(tmp_path / "absent.npz")})
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
 
 
 class TestCmdRun:

@@ -1,41 +1,58 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from logwave.domain import (
     DomainSpec,
     GridField,
     ModalField,
+    analyze,
     eigenpair,
     grad_norm_sq,
     l2_norm_sq,
     lp_norm,
     poincare_constant,
     random_band_limited,
+    synthesize,
     to_grid,
     to_modal,
 )
 
-
-def dense_synthesis(dom: DomainSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Direct sine-sum evaluation on the grid; independent of the FFT path."""
-    k = np.arange(1, dom.modes_per_dim + 1)
-    S = np.sin(np.outer(dom.axis_coordinates, k) * np.pi / dom.length)
-    if dom.dim == 1:
-        return S @ coeffs
-    if dom.dim == 2:
-        return np.einsum("ab,ja,kb->jk", coeffs, S, S)
-    return np.einsum("abc,ja,kb,lc->jkl", coeffs, S, S, S)
+# transforms against references, relative to the reference's max-abs
+TRANSFORM_RTOL = 1e-13
 
 
-def dense_analysis(dom: DomainSpec, values: np.ndarray) -> np.ndarray:
-    k = np.arange(1, dom.modes_per_dim + 1)
-    N = dom.grid_per_dim
-    S = np.sin(np.outer(k, dom.axis_coordinates) * np.pi / dom.length) * (2.0 / (N + 1))
-    if dom.dim == 1:
-        return S @ values
-    if dom.dim == 2:
-        return np.einsum("aj,bk,jk->ab", S, S, values)
-    return np.einsum("aj,bk,cl,jkl->abc", S, S, S, values)
+def sine_sum_basis(dom: DomainSpec, k: tuple[int, ...]) -> np.ndarray:
+    """w_k on the grid, one sine per axis of the physical coordinates."""
+    w = np.ones(())
+    for ki in k:
+        w = np.multiply.outer(w, np.sin(ki * np.pi * dom.axis_coordinates / dom.length))
+    return w
+
+
+def sine_sum_synthesis(dom: DomainSpec, coeffs: np.ndarray) -> np.ndarray:
+    """u(x_j) = sum_k c_k w_k(x_j), one basis function at a time."""
+    out = np.zeros(dom.grid_shape)
+    for idx in itertools.product(range(dom.modes_per_dim), repeat=dom.dim):
+        out += coeffs[idx] * sine_sum_basis(dom, tuple(i + 1 for i in idx))
+    return out
+
+
+def sine_sum_analysis(dom: DomainSpec, values: np.ndarray) -> np.ndarray:
+    """c_k = (values, w_k)_h / ||w_k||^2 by the trapezoid rule, mode by mode."""
+    out = np.zeros(dom.modal_shape)
+    for idx in itertools.product(range(dom.modes_per_dim), repeat=dom.dim):
+        w = sine_sum_basis(dom, tuple(i + 1 for i in idx))
+        out[idx] = dom.quad_weight * np.sum(values * w) / dom.mode_norm_sq
+    return out
+
+
+def max_rel_err(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
 
 
 class TestDomainSpec:
@@ -124,13 +141,39 @@ class TestTransforms:
         rng = np.random.default_rng(11)
         f = random_band_limited(dom, rng)
         g = to_grid(f)
-        dense = dense_synthesis(dom, f.coeffs)
+        dense = sine_sum_synthesis(dom, f.coeffs)
         assert np.abs(g.values - dense).max() < 1e-12 * np.abs(dense).max()
         # analysis is the L2 projection of grid data onto the band
         arbitrary = rng.standard_normal(dom.grid_shape)
         proj = to_modal(GridField(dom, arbitrary))
-        dense_proj = dense_analysis(dom, arbitrary)
+        dense_proj = sine_sum_analysis(dom, arbitrary)
         assert np.abs(proj.coeffs - dense_proj).max() < 1e-12 * np.abs(dense_proj).max()
+
+    @pytest.mark.parametrize("oversample", [2, 3])
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_sine_sum_reference(self, dim, m, oversample):
+        dom = DomainSpec(dim, 1.7, m, oversample)
+        rng = np.random.default_rng(100 * dim + 10 * m + oversample)
+        coeffs = rng.standard_normal(dom.modal_shape)
+        assert max_rel_err(synthesize(dom, coeffs),
+                           sine_sum_synthesis(dom, coeffs)) <= TRANSFORM_RTOL
+        values = rng.standard_normal(dom.grid_shape)
+        assert max_rel_err(analyze(dom, values),
+                           sine_sum_analysis(dom, values)) <= TRANSFORM_RTOL
+
+    @settings(deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), m=st.integers(1, 8),
+           oversample=st.integers(2, 3))
+    def test_analyze_inverts_synthesize(self, data, dim, m, oversample):
+        dom = DomainSpec(dim, 2.3, m, oversample)
+        # magnitudes bounded away from the subnormal range, where the
+        # per-axis scalings would lose relative precision
+        magnitude = st.floats(1e-6, 1e6)
+        element = st.just(0.0) | magnitude | magnitude.map(lambda x: -x)
+        coeffs = data.draw(hnp.arrays(float, dom.modal_shape, elements=element))
+        back = analyze(dom, synthesize(dom, coeffs))
+        assert np.abs(back - coeffs).max() <= TRANSFORM_RTOL * np.abs(coeffs).max()
 
     def test_shape_mismatch(self):
         dom = DomainSpec(2, np.pi, 4)
@@ -171,7 +214,7 @@ class TestNorms:
         f = ModalField(dom, coeffs)
         for p in (4.0, 3.5):
             fine = DomainSpec(1, np.pi, 16, 256)
-            vals = np.abs(dense_synthesis(fine, coeffs))
+            vals = np.abs(sine_sum_synthesis(fine, coeffs))
             oracle = (fine.quad_weight * np.sum(vals ** p)) ** (1.0 / p)
             assert lp_norm(f, p) == pytest.approx(oracle, rel=1e-8)
 

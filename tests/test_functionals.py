@@ -16,7 +16,7 @@ from logwave.functionals import (
     uniform_bound_constant,
 )
 
-from test_domain import dense_synthesis
+from test_domain import sine_sum_synthesis
 
 
 def params_1d(gamma=4.0):
@@ -95,7 +95,7 @@ class TestEnergy:
         u = ModalField.eigenmode(dom, (1,), 0.1)
         rep = energy(u, ModalField.zeros(dom), params_1d())
         fine = DomainSpec(1, np.pi, 8, 32)
-        vals = dense_synthesis(fine, u.coeffs)
+        vals = sine_sum_synthesis(fine, u.coeffs)
         lg, lt = log_moments(vals, fine.quad_weight, 4.0)
         oracle = 0.5 * grad_norm_sq(u) - lt / 4.0 + lg / 16.0
         assert rep.E == pytest.approx(oracle, rel=1e-8)
