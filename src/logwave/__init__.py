@@ -53,7 +53,6 @@ from .solver import (
     step,
 )
 from .well import (
-    BracketingError,
     DegenerateFieldError,
     FiberMoments,
     StableSetVerdict,

@@ -12,8 +12,9 @@ One JSON config document drives every subcommand.  Sections and defaults:
     outputs: csv_path="trajectory.csv", json_path="summary.json"
     study:   m_list=[4,8,16], epsilons=[1e-3,1e-4]
 
-Unknown keys are rejected.  Exit codes: 0 success, 2 configuration or data
-error, 3 blow-up, 4 mandatory check failure.
+Seeds and trial_count are nonnegative integers.  Unknown keys are rejected.
+Exit codes: 0 success, 2 configuration or data error, 3 blow-up, 4 mandatory
+check failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from .functionals import (
     uniform_bound_constant,
 )
 from .solver import BLOWUP, COMPLETED, SolverConfig, integrate
-from .well import IN, default_trial_family, estimate_depth, stable_set_check
+from .well import IN, DegenerateFieldError, default_trial_family, estimate_depth, stable_set_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,6 +148,13 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _count(value, path: str) -> int:
+    """A nonnegative integer: a seed or a number of items."""
+    if _integer(value, path) < 0:
+        raise ConfigError(f"'{path}' must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document into a RunConfig."""
     try:
@@ -215,7 +223,7 @@ def parse_config(text: str) -> RunConfig:
         )
     initial = InitialSpec(
         type=kind, amplitude=amplitude, mode=tuple(mode_raw),
-        seed=_integer(_get(doc, "initial", "seed", 0), "initial.seed"),
+        seed=_count(_get(doc, "initial", "seed", 0), "initial.seed"),
         path=str(path) if path else None,
     )
 
@@ -223,9 +231,9 @@ def parse_config(text: str) -> RunConfig:
     if not 0 < safety <= 1:
         raise ConfigError(f"'well.safety' must lie in (0, 1], got {safety}")
     well = WellSpec(
-        trial_count=_integer(_get(doc, "well", "trial_count", 32), "well.trial_count"),
+        trial_count=_count(_get(doc, "well", "trial_count", 32), "well.trial_count"),
         safety=safety,
-        seed=_integer(_get(doc, "well", "seed", 0), "well.seed"),
+        seed=_count(_get(doc, "well", "seed", 0), "well.seed"),
     )
 
     outputs = OutputSpec(
@@ -274,6 +282,10 @@ def build_initial(cfg: RunConfig) -> tuple[ModalField, ModalField]:
                 raise ConfigError(
                     f"'initial.path' ({spec.path}): '{name}' has shape {arr.shape}, "
                     f"expected the modal band {dom.modal_shape}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(
+                    f"'initial.path' ({spec.path}): '{name}' contains non-finite coefficients"
                 )
         u0 = ModalField(dom, arrays["u0"] * spec.amplitude)
         if "u1" in arrays:
@@ -432,6 +444,13 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     depth = estimate_depth(trials, cfg.model, cfg.well.safety, labels)
     u0, u1 = build_initial(cfg)
     verdict = stable_set_check(u0, u1, depth.d_hat, cfg.well.safety, cfg.model)
+    try:
+        dual_norm = source_dual_norm(u0, cfg.model) if cfg.model.source_enabled else None
+    except ValueError as exc:
+        raise ConfigError(
+            f"'initial.amplitude' ({cfg.initial.amplitude:g}) puts the initial "
+            f"source out of floating-point range: {exc}"
+        ) from exc
     if not quiet:
         print(f"well depth estimate d_hat={depth.d_hat:.6g} "
               f"(threshold {verdict.threshold:.6g}); stable set: {verdict.status}")
@@ -455,8 +474,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         "n_reports": len(result.reports),
         "model": {"gamma": cfg.model.gamma, "dim": cfg.model.dim,
                   "rho": cfg.model.rho, "mu": cfg.model.mu,
-                  "source_dual_norm_initial": source_dual_norm(u0, cfg.model)
-                  if cfg.model.source_enabled else None},
+                  "source_dual_norm_initial": dual_norm},
     }
     write_csv(csv_path, result.reports)
 
@@ -568,20 +586,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg = RunConfig(
-                domain=cfg.domain, model=cfg.model, solver=cfg.solver,
-                initial=InitialSpec(cfg.initial.type, cfg.initial.amplitude,
-                                    cfg.initial.mode, args.seed, cfg.initial.path),
-                well=WellSpec(cfg.well.trial_count, cfg.well.safety, args.seed),
-                outputs=cfg.outputs, study=cfg.study,
-            )
+            seed = _count(args.seed, "--seed")
+            cfg = replace(cfg, initial=replace(cfg.initial, seed=seed),
+                          well=replace(cfg.well, seed=seed))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
         return _COMMANDS[args.command](cfg, Path(args.output_dir), args.quiet)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateFieldError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,15 +11,34 @@ map are exactly the Nehari points on the ray.  For A > 0, G > 0 the map
 rises from 0, attains its supremum and falls to -infinity; the well depth d
 is the infimum of that supremum over directions, estimated here from above
 by trial families.
+
+The Nehari point on the ray has a closed form.  With k = g - 2, I(lambda u) = 0
+reads lambda^k (B + G ln lambda) = A.  Substituting
+
+    w = k ln lambda + kB/G     (so B + G ln lambda = G w / k)
+
+turns it into w e^w = (kA/G) e^(kB/G), that is
+
+    w + ln w = c,    c = ln(kA/G) + kB/G.
+
+A positive right-hand side A forces w > 0, where w + ln w increases from
+-infinity to +infinity, so there is exactly one root: w = W0(e^c) on the
+principal branch of the Lambert W function (Corless, Gonnet, Hare, Jeffrey
+and Knuth, "On the Lambert W function", Adv. Comput. Math. 5, 1996).  Under
+u -> s u the moments move as A -> s^2 A, G -> s^g G, B -> s^g (B + G ln s),
+so c, and with it w and J(lambda* u), does not depend on the scale s; only
+lambda* moves, as 1/s.  The root is found as v = ln w from e^v + v = c by
+Newton's method, which never leaves the floating-point range in log space,
+and then lambda* = exp((w - kB/G) / k).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .domain import DomainSpec, ModalField, grad_norm_sq, random_band_limited, synthesize
 from .functionals import ModelParams, energy, log_moments
@@ -29,17 +48,16 @@ class DegenerateFieldError(ValueError):
     """Raised when a projection target is zero or has no fibering maximum."""
 
 
-class BracketingError(RuntimeError):
-    """Raised when the fibering-map scan finds no interior maximum."""
-
-
 # outcome labels for the stable-set test
 IN = "IN"
 OUT_I = "OUT_I"
 OUT_E = "OUT_E"
 
-SCAN_RANGE = (1e-6, 1e3)
-SCAN_POINTS = 400
+# the Newton solve in log space: iteration cap and relative step tolerance
+NEWTON_MAX_ITER = 50
+NEWTON_RTOL = 4.0 * sys.float_info.epsilon
+# lambda*^gamma must stay inside the float range for J(lambda*) to be evaluated
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -110,58 +128,36 @@ def _project_moments(m: FiberMoments, gamma: float) -> tuple[float, float]:
             f"degenerate trial (A={m.A:g}, G={m.G:g}); projection needs a nonzero field"
         )
 
-    grid = np.geomspace(SCAN_RANGE[0], SCAN_RANGE[1], SCAN_POINTS)
-    j_vals = fiber_J(m, grid, gamma)
-    i_best = int(np.argmax(j_vals))
-
-    # bracket the maximum by a sign change of I = lambda dJ/dlambda,
-    # widening if the maximum sits on a flat stretch of the scan
-    lo = max(i_best - 1, 0)
-    hi = min(i_best + 1, SCAN_POINTS - 1)
-    while fiber_I(m, grid[lo], gamma) <= 0 and lo > 0:
-        lo -= 1
-    while fiber_I(m, grid[hi], gamma) >= 0 and hi < SCAN_POINTS - 1:
-        hi += 1
-    f_lo = fiber_I(m, grid[lo], gamma)
-    f_hi = fiber_I(m, grid[hi], gamma)
-    if not (f_lo > 0 > f_hi):
-        raise BracketingError(
-            f"no sign change of the fibering derivative in [{grid[lo]:g}, {grid[hi]:g}]"
-        )
-
-    # golden-section sharpening of the bracket, then a root solve on I for
-    # a machine-precision critical point (I is well conditioned at the
-    # maximum, where J itself is flat)
-    a, b = grid[lo], grid[hi]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = fiber_J(m, c, gamma)
-    fd = fiber_J(m, d, gamma)
-    while (b - a) > 1e-6 * b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fiber_J(m, c, gamma)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fiber_J(m, d, gamma)
-    lo_f = fiber_I(m, a, gamma)
-    hi_f = fiber_I(m, b, gamma)
-    if not (lo_f > 0 > hi_f):
-        # fall back to the scan bracket if roundoff flattened the refined one
-        a, b = grid[lo], grid[hi]
-    lambda_star = brentq(lambda x: fiber_I(m, x, gamma), a, b, xtol=1e-30, rtol=8.9e-16)
-    j_max = fiber_J(m, lambda_star, gamma)
-    return float(lambda_star), float(j_max)
+    k = gamma - 2.0
+    shift = k * m.B / m.G
+    c = math.log(k) + math.log(m.A) - math.log(m.G) + shift
+    if not math.isfinite(c):
+        raise DegenerateFieldError(f"fibering moments out of range (c={c:g})")
+    # Newton on the increasing convex f(v) = e^v + v - c, started right of
+    # the root: f(v0) >= 0 there, so every iterate stays right of the root
+    # and decreases to it, and e^v never exceeds max(c, e)
+    v = c if c < 1.0 else math.log(c)
+    for _ in range(NEWTON_MAX_ITER):
+        ev = math.exp(v)
+        step = (ev + v - c) / (ev + 1.0)
+        v -= step
+        if abs(step) <= NEWTON_RTOL * max(1.0, abs(v)):
+            break
+    else:
+        raise DegenerateFieldError(f"Nehari solve did not converge (c={c:g})")
+    log_lambda = (math.exp(v) - shift) / k
+    if not gamma * abs(log_lambda) < LOG_FLOAT_MAX:
+        raise DegenerateFieldError(f"Nehari point lambda* = exp({log_lambda:g}) out of range")
+    lambda_star = math.exp(log_lambda)
+    return lambda_star, fiber_J(m, lambda_star, gamma)
 
 
 def project_to_nehari(u: ModalField, params: ModelParams) -> tuple[float, float]:
     """Global maximizer lambda* of the fibering map and J(lambda* u).
 
-    fiber_I(lambda*) vanishes to roundoff; J at the maximizer is positive
-    for every nonzero field.
+    lambda* is the closed-form root of the module docstring, so
+    fiber_I(lambda*) vanishes to roundoff at every scale of u; J at the
+    maximizer is positive for every nonzero field.
     """
     return _project_moments(fiber_moments(u, params), params.gamma)
 

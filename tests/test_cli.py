@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logwave
 from logwave.cli import (
     EXIT_BLOWUP,
     EXIT_CHECKS,
@@ -117,6 +122,15 @@ class TestParseConfig:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("section,key", [("well", "trial_count"), ("well", "seed"),
+                                             ("initial", "seed")])
+    def test_negative_counts_rejected(self, tmp_path, capsys, section, key):
+        cfg = fast_run_config(tmp_path, **{section: {key: -3}})
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config((tmp_path / "config.json").read_text())
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+        assert f"'{section}.{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("t_end,dt", [(0.5, 1e-3), (0.05, 1e-3), (20.0, 1e-3), (0.3, 0.1)])
     def test_t_end_multiple_accepts_rounding(self, t_end, dt):
         doc = dict(MINIMAL, solver={"dt": dt, "t_end": t_end})
@@ -157,6 +171,16 @@ class TestBuildInitial:
         np.savez(npz, **arrays)
         cfg = fast_run_config(tmp_path, initial={"type": "file", "path": str(npz)})
         with pytest.raises(ConfigError, match=f"initial.path.*'{bad}'"):
+            build_initial(parse_config((tmp_path / "config.json").read_text()))
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+
+    def test_from_file_non_finite(self, tmp_path):
+        coeffs = np.zeros((4, 4, 4))
+        coeffs[1, 0, 0] = np.nan
+        npz = tmp_path / "init.npz"
+        np.savez(npz, u0=coeffs)
+        cfg = fast_run_config(tmp_path, initial={"type": "file", "path": str(npz)})
+        with pytest.raises(ConfigError, match="initial.path.*'u0'.*non-finite"):
             build_initial(parse_config((tmp_path / "config.json").read_text()))
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
 
@@ -212,6 +236,14 @@ class TestCmdRun:
         assert summary["status"] == "BLOWUP"
         assert summary["t_max"] < 5.0
 
+    def test_overflowing_amplitude_names_key(self, tmp_path, capsys):
+        # |u|^g overflows, so the source of the initial data has no finite norm
+        cfg = fast_run_config(tmp_path, initial={"amplitude": 1e200})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "'initial.amplitude'" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = write_config(tmp_path / "bad.json", dict(MINIMAL, model={"gamma": 3.0}))
         assert main(["run", "--config", bad, "--quiet"]) == EXIT_CONFIG
@@ -227,6 +259,14 @@ class TestOtherCommands:
         assert report["d_hat"] > 0
         assert len(report["trials"]) == 1
         assert report["trials"][0]["lambda_star"] > 0
+
+    def test_welldepth_degenerate_field_exits_config(self, tmp_path, capsys):
+        # on a box of side 1e-100 the trials' Nehari points lie near 1e100,
+        # where lambda*^gamma leaves the float range
+        cfg = fast_run_config(tmp_path, domain={"length": 1e-100})
+        code = main(["welldepth", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "data error" in capsys.readouterr().err
 
     def test_converge_linear_machine_precision(self, tmp_path):
         cfg = fast_run_config(
@@ -293,3 +333,22 @@ class TestSeedOverride:
         csv_a = (a / "trajectory.csv").read_bytes()
         assert csv_a != (b / "trajectory.csv").read_bytes()
         assert csv_a == (c / "trajectory.csv").read_bytes()
+
+    def test_negative_seed_exits_config(self, tmp_path, capsys):
+        cfg = fast_run_config(tmp_path, initial={"type": "random", "amplitude": 0.02})
+        code = main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--seed", "-1",
+                     "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "'--seed'" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = str(Path(logwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, logwave.cli; "
+             "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert out == ""

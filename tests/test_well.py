@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logwave.domain import DomainSpec, ModalField, random_band_limited
 from logwave.functionals import ModelParams
@@ -178,6 +180,23 @@ class TestProjection:
         projected = u.scaled(lam)
         from logwave.domain import grad_norm_sq
         assert abs(nehari_I(projected, PARAMS)) <= 1e-10 * grad_norm_sq(projected)
+
+    @settings(deadline=None, max_examples=60)
+    @given(log10_scale=st.floats(-8.0, 8.0), gamma=st.sampled_from([4.0, 5.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_scale_invariance_and_residual(self, log10_scale, gamma, seed):
+        # J_max is a property of the direction alone; lambda* carries the scale
+        params = ModelParams(gamma, 3)
+        dom = DomainSpec(3, np.pi, 4, 2)
+        u = random_band_limited(dom, np.random.default_rng(seed))
+        s = 10.0 ** log10_scale
+        lam_ref, j_ref = project_to_nehari(u, params)
+        scaled = u.scaled(s)
+        lam, j_max = project_to_nehari(scaled, params)
+        m = fiber_moments(scaled, params)
+        assert abs(j_max - j_ref) <= 1e-10 * j_ref
+        assert abs(fiber_I(m, lam, gamma)) <= 1e-10 * lam ** 2 * m.A
+        assert lam * s == pytest.approx(lam_ref, rel=1e-10)
 
     def test_zero_field_degenerate(self):
         dom = DomainSpec(3, np.pi, 4)
