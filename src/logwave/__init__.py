@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .domain import (
     DomainSpec,
-    GridField,
     ModalField,
     eigenpair,
     grad_norm_sq,
@@ -26,8 +25,6 @@ from .domain import (
     lp_norm,
     poincare_constant,
     random_band_limited,
-    to_grid,
-    to_modal,
 )
 from .functionals import (
     EnergyReport,

@@ -4,18 +4,26 @@ All checks operate on report samples; time integrals use the trapezoidal
 rule on the report grid, so their accuracy is set by the report spacing
 (keep report_every * dt small, of the order of ten steps, when these
 residuals matter).
+
+``CHECKS`` is the verification table: one row per invariant with its name,
+mandatory flag, tolerance and measure.  ``run_checks`` evaluates it for the
+CLI, and the acceptance tests call the same measures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .domain import DomainSpec, ModalField, grad_norm_sq, l2_norm_sq, poincare_constant, random_band_limited
-from .functionals import EnergyReport, ModelParams
+from .functionals import EnergyReport, ModelParams, uniform_bound_constant
 from .solver import BLOWUP, COMPLETED, SolverConfig, integrate
+from .well import IN, StableSetVerdict
 
 # absolute energy floor below which report samples are excluded from fits
 # and ratio estimates
@@ -68,6 +76,18 @@ def _columns(reports: list[EnergyReport]) -> dict[str, np.ndarray]:
     return cols
 
 
+def _loglinear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line ln y = slope t + intercept; returns it with R^2."""
+    ln_y = np.log(y)
+    design = np.vstack([t, np.ones_like(t)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, ln_y, rcond=None)
+    pred = design @ (slope, intercept)
+    ss_res = float(np.sum((ln_y - pred) ** 2))
+    ss_tot = float(np.sum((ln_y - ln_y.mean()) ** 2))
+    r_squared = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r_squared
+
+
 def fit_decay(
     reports: list[EnergyReport],
     window: tuple[float, float] | None = None,
@@ -93,17 +113,10 @@ def fit_decay(
             f"need >= 10 samples with E > {ENERGY_FLOOR:g} in window {window}"
         )
     keep = in_window & (E > max(min_energy, 0.0)) & np.isfinite(E)
-    tt = t[keep]
-    ln_e = np.log(E[keep])
-    design = np.vstack([tt, np.ones_like(tt)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ln_e, rcond=None)
-    pred = design @ (slope, intercept)
-    ss_res = float(np.sum((ln_e - pred) ** 2))
-    ss_tot = float(np.sum((ln_e - ln_e.mean()) ** 2))
-    r_squared = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
+    slope, intercept, r_squared = _loglinear_fit(t[keep], E[keep])
     return DecayFit(
-        C1=float(np.exp(intercept)), C2=float(-slope), window=window,
-        r_squared=r_squared, n_samples=int(tt.size),
+        C1=float(np.exp(intercept)), C2=-slope, window=window,
+        r_squared=r_squared, n_samples=int(np.sum(keep)),
     )
 
 
@@ -196,6 +209,122 @@ def check_integral_bound(
     )
 
 
+# ---------------------------------------------------------------------------
+# verification table
+
+@dataclass(frozen=True)
+class CheckInput:
+    """A trajectory as the check table reads it.  Without an IN stable-set
+    verdict the invariance rows are skipped; the estimate suite and the
+    decay fit are computed once, on first use."""
+
+    reports: list[EnergyReport]
+    domain: DomainSpec
+    params: ModelParams
+    verdict: StableSetVerdict | None = None
+
+    @property
+    def stable(self) -> bool:
+        return self.verdict is not None and self.verdict.status == IN
+
+    @property
+    def e_scale(self) -> float:
+        return max(self.reports[0].E, 1e-30)
+
+    @cached_property
+    def suite(self) -> EstimateSuite:
+        return check_integral_bound(self.reports, self.domain, self.params)
+
+    @cached_property
+    def fit(self) -> DecayFit | None:
+        # the decay tail of a resolved run is accurate far below the absolute
+        # energy floor, and the fixed window needs those samples: fit them all
+        try:
+            return fit_decay(self.reports, min_energy=0.0)
+        except FitError:
+            return None
+
+
+class Check(NamedTuple):
+    """A row of the check table: SKIP when ``measure`` returns None, else
+    PASS when ``compare(measured, tolerance)`` holds.  A callable tolerance
+    is read off the CheckInput."""
+
+    name: str
+    mandatory: bool
+    tolerance: float | None | Callable[[CheckInput], float | None]
+    compare: Callable[[float, float | None], bool]
+    measure: Callable[[CheckInput], float | None]
+
+
+def _finite(measured: float, _tolerance: None) -> bool:
+    return math.isfinite(measured)
+
+
+def _max_energy_rise(run: CheckInput) -> float:
+    rises = np.diff([r.E for r in run.reports])
+    return float(np.max(rises)) / run.e_scale if rises.size else 0.0
+
+
+def _virial(run: CheckInput) -> float | None:
+    try:
+        return check_virial_identity(run.reports)
+    except ValueError:
+        return None
+
+
+def _if_finite(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
+# The measures look the check functions up by module-global name at call
+# time, so that rebinding a name (to trace it, say) also reaches the table.
+CHECKS = (
+    Check("energy_identity", True, 1e-4, operator.le,
+          lambda run: check_energy_identity(run.reports)),
+    Check("monotone_dissipation", True, 1e-10, operator.le, _max_energy_rise),
+    Check("invariance_I_positive", True, 0.0, operator.gt,
+          lambda run: min(r.I for r in run.reports) if run.stable else None),
+    Check("invariance_E_below_threshold", True,
+          lambda run: run.verdict.threshold if run.stable else None, operator.lt,
+          lambda run: max(r.E for r in run.reports) if run.stable else None),
+    Check("uniform_bound", True, 1.0, operator.lt,
+          lambda run: max(uniform_bound_constant(run.params.gamma)
+                          * (2.0 * r.kinetic + r.grad_sq + r.lgamma) / run.e_scale
+                          for r in run.reports) if run.stable else None),
+    Check("virial_identity", True, 1e-3, operator.le, _virial),
+    Check("poincare_margin", True, 1.0 + 1e-10, operator.le,
+          lambda run: _if_finite(run.suite.poincare_margin)),
+    Check("integral_bound_finite", False, None, _finite,
+          lambda run: run.suite.c0_hat if run.suite.n_s_samples else None),
+    Check("decay_rate_positive", False, 0.0, operator.gt,
+          lambda run: run.fit.C2 if run.fit else None),
+    Check("decay_fit_r_squared", False, 0.99, operator.ge,
+          lambda run: run.fit.r_squared if run.fit else None),
+)
+
+
+def run_checks(reports, domain, params, verdict=None) -> tuple[list[dict], dict]:
+    """Evaluate the check table on a trajectory; ``verdict`` (a
+    StableSetVerdict) enables the invariance rows.  Returns (checks, extras),
+    extras holding the estimate suite and the decay fit for the summary."""
+    run = CheckInput(reports, domain, params, verdict)
+    checks = []
+    for row in CHECKS:
+        measured = row.measure(run)
+        tolerance = row.tolerance(run) if callable(row.tolerance) else row.tolerance
+        status = ("SKIP" if measured is None
+                  else "PASS" if row.compare(measured, tolerance) else "FAIL")
+        checks.append({"name": row.name, "status": status, "measured": measured,
+                       "tolerance": tolerance, "mandatory": row.mandatory})
+    return checks, {"estimates": asdict(run.suite),
+                    "decay_fit": asdict(run.fit) if run.fit else None}
+
+
+def mandatory_ok(checks: list[dict]) -> bool:
+    return all(c["status"] != "FAIL" for c in checks if c["mandatory"])
+
+
 @dataclass(frozen=True)
 class DependenceReport:
     """Growth of the difference D(t) = ||z_t||^2 + ||grad z||^2 under an
@@ -256,13 +385,7 @@ def continuous_dependence(
         tt = np.array(times)
         mask = (d0 > 0) & (tt > 0)
         if mask.sum() >= 3:
-            design = np.vstack([tt[mask], np.ones(int(mask.sum()))]).T
-            (slope, icpt), *_ = np.linalg.lstsq(design, np.log(d0[mask]), rcond=None)
-            pred = design @ (slope, icpt)
-            ss_res = float(np.sum((np.log(d0[mask]) - pred) ** 2))
-            ss_tot = float(np.sum((np.log(d0[mask]) - np.log(d0[mask]).mean()) ** 2))
-            rate = float(slope)
-            r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
+            rate, _, r2 = _loglinear_fit(tt[mask], d0[mask])
     return DependenceReport(times, tuple(epsilons), tuple(d_rows),
                             tuple(ratio_rows), rate, r2, COMPLETED)
 

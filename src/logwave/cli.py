@@ -30,25 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    FitError,
-    check_energy_identity,
-    check_integral_bound,
-    check_virial_identity,
-    continuous_dependence,
-    convergence_study,
-    fit_decay,
-)
+from .analysis import continuous_dependence, convergence_study, mandatory_ok, run_checks
 from .domain import DomainSpec, ModalField, grad_norm_sq, random_band_limited
-from .functionals import (
-    CSV_COLUMNS,
-    EnergyReport,
-    ModelParams,
-    source_dual_norm,
-    uniform_bound_constant,
-)
+from .functionals import CSV_COLUMNS, EnergyReport, ModelParams, source_dual_norm
 from .solver import BLOWUP, COMPLETED, SolverConfig, integrate
-from .well import IN, DegenerateFieldError, default_trial_family, estimate_depth, stable_set_check
+from .well import DegenerateFieldError, default_trial_family, estimate_depth, stable_set_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,7 +119,10 @@ def _get(doc: dict, section: str, key: str, default=None, required: bool = False
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"'{path}' is out of floating-point range") from None
 
 
 def _boolean(value, path: str) -> bool:
@@ -240,15 +229,27 @@ def parse_config(text: str) -> RunConfig:
         csv_path=str(_get(doc, "outputs", "csv_path", "trajectory.csv")),
         json_path=str(_get(doc, "outputs", "json_path", "summary.json")),
     )
+    for key, name in asdict(outputs).items():
+        if Path(name).name in ("", ".."):
+            raise ConfigError(f"'outputs.{key}' must name a file, got {name!r}")
 
     m_list = _get(doc, "study", "m_list", [4, 8, 16])
     if (not isinstance(m_list, list) or len(m_list) < 2
-            or not all(isinstance(m, int) and not isinstance(m, bool) and m >= 1 for m in m_list)):
-        raise ConfigError("'study.m_list' must be a list of >= 2 positive integers")
+            or not all(isinstance(m, int) and not isinstance(m, bool) and m >= 1 for m in m_list)
+            or any(b <= a for a, b in zip(m_list, m_list[1:]))):
+        raise ConfigError("'study.m_list' must be a strictly increasing list of >= 2 "
+                          "positive integers")
+    try:
+        DomainSpec(domain.dim, domain.length, m_list[-1], domain.oversample)
+    except ValueError as exc:
+        raise ConfigError(f"'study.m_list': {exc}") from exc
     eps_list = _get(doc, "study", "epsilons", [1e-3, 1e-4])
+    # the report divides by eps^2, which must neither overflow nor vanish
     if not isinstance(eps_list, list) or not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool) and e >= 0 for e in eps_list):
-        raise ConfigError("'study.epsilons' must be a list of nonnegative numbers")
+            isinstance(e, (int, float)) and not isinstance(e, bool)
+            and (e == 0 or (0 < e < 1e154 and e * e > 0)) for e in eps_list):
+        raise ConfigError("'study.epsilons' must be a list of numbers, each 0 or in "
+                          "(0, 1e154) with a nonzero square")
     study = StudySpec(m_list=tuple(m_list), epsilons=tuple(float(e) for e in eps_list))
 
     return RunConfig(domain=domain, model=model, solver=solver, initial=initial,
@@ -290,6 +291,8 @@ def build_initial(cfg: RunConfig) -> tuple[ModalField, ModalField]:
         u0 = ModalField(dom, arrays["u0"] * spec.amplitude)
         if "u1" in arrays:
             u1 = ModalField(dom, arrays["u1"])
+    if not u0.is_finite:
+        raise ConfigError(f"'initial.amplitude' ({spec.amplitude:g}) gives non-finite initial data")
     return u0, u1
 
 
@@ -325,100 +328,26 @@ def write_csv(path: Path, reports: list[EnergyReport]):
 
 def read_csv(path: Path) -> list[EnergyReport]:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_COLUMNS:
-            raise ConfigError(
-                f"'{path}' does not carry the expected column set {CSV_COLUMNS}"
-            )
-        reports = []
-        for row in reader:
-            if len(row) != len(CSV_COLUMNS):
-                raise ConfigError(f"'{path}': malformed row {row!r}")
-            vals = dict(zip(CSV_COLUMNS, (float(x) for x in row)))
-            reports.append(EnergyReport(**vals))
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"'{path}' is not a CSV file: {exc}") from exc
+    if not rows or tuple(rows[0]) != CSV_COLUMNS:
+        raise ConfigError(
+            f"'{path}' does not carry the expected column set {CSV_COLUMNS}"
+        )
+    try:
+        reports = [EnergyReport(**dict(zip(CSV_COLUMNS, map(float, row), strict=True)))
+                   for row in rows[1:]]
+    except ValueError as exc:
+        raise ConfigError(f"'{path}': malformed row: {exc}") from exc
+    if not reports:
+        raise ConfigError(f"'{path}' holds no samples")
     return reports
 
 
 # ---------------------------------------------------------------------------
-# verification suite
-
-def _check(name: str, passed: bool | None, measured, tolerance, mandatory: bool) -> dict:
-    status = "SKIP" if passed is None else ("PASS" if passed else "FAIL")
-    return {"name": name, "status": status, "measured": measured,
-            "tolerance": tolerance, "mandatory": mandatory}
-
-
-def run_checks(reports, domain, params, verdict=None, decay_window=None) -> tuple[list[dict], dict]:
-    """Evaluate the verification suite on a trajectory.
-
-    ``verdict`` (a StableSetVerdict) enables the invariance checks; without
-    it they are skipped.  Returns (checks, extras) where extras holds the
-    decay fit and the estimate suite for the JSON summary.
-    """
-    checks = []
-    extras = {}
-    e0 = reports[0].E
-    e_scale = max(e0, 1e-30)
-    es = np.array([r.E for r in reports])
-
-    res = check_energy_identity(reports)
-    checks.append(_check("energy_identity", res <= 1e-4, res, 1e-4, True))
-
-    max_rise = float(np.max(np.diff(es))) / e_scale if len(es) > 1 else 0.0
-    checks.append(_check("monotone_dissipation", max_rise <= 1e-10, max_rise, 1e-10, True))
-
-    if verdict is not None and verdict.status == IN:
-        min_i = min(r.I for r in reports)
-        checks.append(_check("invariance_I_positive", min_i > 0, min_i, 0.0, True))
-        max_e = float(np.max(es))
-        checks.append(_check("invariance_E_below_threshold",
-                             max_e < verdict.threshold, max_e, verdict.threshold, True))
-        c3 = uniform_bound_constant(params.gamma)
-        bound = max(
-            c3 * (2.0 * r.kinetic + r.grad_sq + r.lgamma) / e_scale for r in reports
-        )
-        checks.append(_check("uniform_bound", bound < 1.0, bound, 1.0, True))
-    else:
-        checks.append(_check("invariance_I_positive", None, None, 0.0, True))
-        checks.append(_check("invariance_E_below_threshold", None, None, None, True))
-        checks.append(_check("uniform_bound", None, None, 1.0, True))
-
-    try:
-        vir = check_virial_identity(reports)
-        checks.append(_check("virial_identity", vir <= 1e-3, vir, 1e-3, True))
-    except ValueError:
-        checks.append(_check("virial_identity", None, None, 1e-3, True))
-
-    suite = check_integral_bound(reports, domain, params)
-    extras["estimates"] = asdict(suite)
-    pm = suite.poincare_margin
-    if math.isfinite(pm):
-        checks.append(_check("poincare_margin", pm <= 1.0 + 1e-10, pm, 1.0 + 1e-10, True))
-    else:
-        checks.append(_check("poincare_margin", None, None, 1.0 + 1e-10, True))
-    checks.append(_check("integral_bound_finite",
-                         math.isfinite(suite.c0_hat) if suite.n_s_samples else None,
-                         suite.c0_hat, None, False))
-
-    # the decay tail of a resolved run is accurate far below the absolute
-    # energy floor, and the fixed window needs those samples: fit them all
-    try:
-        fit = fit_decay(reports, window=decay_window, min_energy=0.0)
-        extras["decay_fit"] = asdict(fit)
-        checks.append(_check("decay_rate_positive", fit.C2 > 0, fit.C2, 0.0, False))
-        checks.append(_check("decay_fit_r_squared", fit.r_squared >= 0.99,
-                             fit.r_squared, 0.99, False))
-    except FitError:
-        extras["decay_fit"] = None
-        checks.append(_check("decay_rate_positive", None, None, 0.0, False))
-        checks.append(_check("decay_fit_r_squared", None, None, 0.99, False))
-    return checks, extras
-
-
-def _mandatory_ok(checks: list[dict]) -> bool:
-    return all(c["status"] != "FAIL" for c in checks if c["mandatory"])
-
+# verification output (the table itself is ``analysis.CHECKS``)
 
 def _emit(checks: list[dict], quiet: bool):
     if quiet:
@@ -489,7 +418,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     checks, extras = run_checks(result.reports, cfg.domain, cfg.model, verdict)
     summary.update(extras)
     summary["checks"] = checks
-    ok = _mandatory_ok(checks)
+    ok = mandatory_ok(checks)
     summary["exit_code"] = EXIT_OK if ok else EXIT_CHECKS
     write_json(json_path, summary)
     _emit(checks, quiet)
@@ -548,7 +477,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     csv_path, json_path = _out_paths(cfg, out_dir)
     reports = read_csv(csv_path)
     checks, extras = run_checks(reports, cfg.domain, cfg.model, verdict=None)
-    ok = _mandatory_ok(checks)
+    ok = mandatory_ok(checks)
     write_json(json_path, {
         "command": "verify",
         "csv_path": str(csv_path),
@@ -595,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _COMMANDS[args.command](cfg, Path(args.output_dir), args.quiet)
-    except (ConfigError, DegenerateFieldError) as exc:
+    except (ConfigError, DegenerateFieldError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -52,6 +52,15 @@ class DomainSpec:
             raise ValueError(f"modes_per_dim must be >= 1, got {self.modes_per_dim}")
         if self.oversample < 2:
             raise ValueError(f"oversample must be >= 2, got {self.oversample}")
+        # the basis scales are Python float powers, which raise OverflowError
+        # or underflow to 0 for a box far from unit size
+        try:
+            scales = (self.mode_norm_sq, self.quad_weight, self.lambda_min,
+                      self.dim * (math.pi * self.modes_per_dim / self.length) ** 2)
+        except OverflowError:
+            scales = (math.inf,)
+        if not all(0.0 < s < math.inf for s in scales):
+            raise ValueError(f"length {self.length!r} puts the basis scales out of float range")
 
     @property
     def grid_per_dim(self) -> int:
@@ -196,26 +205,6 @@ class ModalField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Field values on the interior tensor quadrature grid."""
-
-    domain: DomainSpec
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != self.domain.grid_shape:
-            raise ValueError(
-                f"grid shape {arr.shape} does not match quadrature grid "
-                f"{self.domain.grid_shape}"
-            )
-        if arr is self.values and arr.flags.writeable:
-            arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-
 def synthesize(domain: DomainSpec, coeffs: np.ndarray) -> np.ndarray:
     """Evaluate modal coefficients on the quadrature grid (raw arrays)."""
     s = domain.synthesis_matrix
@@ -238,14 +227,6 @@ def analyze(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
         return a @ x
     x = a @ x
     return (a @ x.reshape(domain.grid_per_dim, -1)).reshape(domain.modal_shape)
-
-
-def to_grid(f: ModalField) -> GridField:
-    return GridField(f.domain, synthesize(f.domain, f.coeffs))
-
-
-def to_modal(g: GridField) -> ModalField:
-    return ModalField(g.domain, analyze(g.domain, g.values))
 
 
 def grad_norm_sq(f: ModalField) -> float:

@@ -99,7 +99,8 @@ def blowup_scan(state: SimState, threshold: float) -> str:
     """BLOWUP iff a coefficient is non-finite or ||grad u||_2 exceeds threshold."""
     if not (state.u.is_finite and state.ut.is_finite):
         return BLOWUP
-    if grad_norm_sq(state.u) > threshold ** 2:
+    # a float product saturates to inf where ** raises OverflowError
+    if grad_norm_sq(state.u) > threshold * threshold:
         return BLOWUP
     return RUNNING
 

@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 
 from logwave.analysis import (
+    CHECKS,
+    CheckInput,
     check_energy_identity,
     check_integral_bound,
     continuous_dependence,
     convergence_study,
     fit_decay,
 )
-from logwave.domain import DomainSpec, ModalField, poincare_constant, random_band_limited
+from logwave.domain import DomainSpec, ModalField, random_band_limited
 from logwave.functionals import (
     ModelParams,
     log_bound_large,
@@ -89,6 +91,12 @@ def verdict(well_depth):
                             SAFETY, PARAMS)
 
 
+def measure(name, run, verdict=None):
+    """The verification table's measure of one check on a trajectory."""
+    row = next(c for c in CHECKS if c.name == name)
+    return row.measure(CheckInput(run.reports, DOMAIN, PARAMS, verdict))
+
+
 def report_line(num, name, ok, detail):
     print(f"[criterion {num:02d}] {name}: {detail}: {'PASS' if ok else 'FAIL'}")
     return ok
@@ -112,16 +120,14 @@ def test_01_energy_law(run_base, run_half, run_quarter):
 
 
 def test_02_monotone_dissipation(run_base):
-    es = np.array([r.E for r in run_base.reports])
-    worst = float(np.max(np.diff(es)))
-    tol = 1e-10 * es[0]
-    assert report_line(2, "monotone dissipation", worst <= tol,
-                       f"max E increase={worst:.3e} (<= {tol:.3e})")
+    worst = measure("monotone_dissipation", run_base)
+    assert report_line(2, "monotone dissipation", worst <= 1e-10,
+                       f"max E increase / E(0)={worst:.3e} (<= 1e-10)")
 
 
 def test_03_stable_set_invariance(run_base, verdict):
-    min_i = min(r.I for r in run_base.reports)
-    max_e = max(r.E for r in run_base.reports)
+    min_i = measure("invariance_I_positive", run_base, verdict)
+    max_e = measure("invariance_E_below_threshold", run_base, verdict)
     ok = (verdict.status == "IN" and min_i > 0 and max_e < verdict.threshold)
     assert report_line(
         3, "stable-set invariance", ok,
@@ -130,13 +136,11 @@ def test_03_stable_set_invariance(run_base, verdict):
     )
 
 
-def test_04_uniform_bound(run_base):
-    c3 = uniform_bound_constant(PARAMS.gamma)
-    assert c3 == 1.0 / 16.0
-    e0 = run_base.reports[0].E
-    worst = max(c3 * (2 * r.kinetic + r.grad_sq + r.lgamma) for r in run_base.reports)
-    assert report_line(4, "uniform bound", worst < e0,
-                       f"C3=1/16, max bound={worst:.3e} (< E(0)={e0:.3e})")
+def test_04_uniform_bound(run_base, verdict):
+    assert uniform_bound_constant(PARAMS.gamma) == 1.0 / 16.0
+    worst = measure("uniform_bound", run_base, verdict)
+    assert report_line(4, "uniform bound", worst < 1.0,
+                       f"C3=1/16, max bound / E(0)={worst:.3e} (< 1)")
 
 
 def test_05_exponential_decay(run_base, run_gamma55):
@@ -259,10 +263,7 @@ def test_11_galerkin_self_convergence():
 
 
 def test_12_sharp_poincare_margin(run_base):
-    cp = poincare_constant(DOMAIN)
-    worst = 0.0
-    for rep in run_base.reports:
-        if rep.grad_ut_sq > 0:
-            worst = max(worst, math.sqrt(2 * rep.kinetic / rep.grad_ut_sq) / cp)
+    worst = measure("poincare_margin", run_base)
+    assert worst is not None
     assert report_line(12, "sharp poincare margin", worst <= 1 + 1e-10,
                        f"max margin={worst:.12f} (<= 1+1e-10)")

@@ -1,9 +1,14 @@
 import math
+import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from logwave import analysis
 from logwave.analysis import (
+    CHECKS,
+    CheckInput,
     FitError,
     check_energy_identity,
     check_integral_bound,
@@ -11,10 +16,12 @@ from logwave.analysis import (
     continuous_dependence,
     convergence_study,
     fit_decay,
+    run_checks,
 )
 from logwave.domain import DomainSpec, ModalField
 from logwave.functionals import EnergyReport, ModelParams
 from logwave.solver import COMPLETED, SolverConfig, integrate
+from logwave.well import IN, StableSetVerdict
 
 PARAMS = ModelParams(4.0, 3)
 LINEAR = ModelParams(4.0, 3, source_enabled=False)
@@ -218,3 +225,41 @@ class TestConvergenceStudy:
             convergence_study(u0, u1, SolverConfig(dt=1e-3, t_end=0.1), PARAMS, [4, 4])
         with pytest.raises(ValueError):
             convergence_study(u0, u1, SolverConfig(dt=1e-3, t_end=0.1), PARAMS, [4])
+
+
+class TestCheckTable:
+    def test_rows_pin_the_spec(self):
+        # a loosened tolerance, a weaker comparison or a dropped row fails here
+        rows = [(c.name, c.mandatory, c.tolerance, c.compare) for c in CHECKS]
+        threshold = rows[3][2]
+        assert rows == [
+            ("energy_identity", True, 1e-4, operator.le),
+            ("monotone_dissipation", True, 1e-10, operator.le),
+            ("invariance_I_positive", True, 0.0, operator.gt),
+            ("invariance_E_below_threshold", True, threshold, operator.lt),
+            ("uniform_bound", True, 1.0, operator.lt),
+            ("virial_identity", True, 1e-3, operator.le),
+            ("poincare_margin", True, 1.0 + 1e-10, operator.le),
+            ("integral_bound_finite", False, None, analysis._finite),
+            ("decay_rate_positive", False, 0.0, operator.gt),
+            ("decay_fit_r_squared", False, 0.99, operator.ge),
+        ]
+        # that tolerance is the threshold of an IN stable-set verdict, else None
+        run = CheckInput(synthetic_reports([0.0], [1.0]), DomainSpec(3, np.pi, 4), PARAMS)
+        assert threshold(run) is None
+        for status, expected in ((IN, 0.25), ("OUT_E", None)):
+            verdict = StableSetVerdict(status, I0=1.0, E0=0.1, threshold=0.25)
+            assert threshold(replace(run, verdict=verdict)) == expected
+
+    def test_each_check_function_runs_once_by_module_name(self, monkeypatch):
+        # the table must reach rebound names: the benchmark's tracer rebinds them
+        calls = []
+        for name in ("check_energy_identity", "check_virial_identity",
+                     "check_integral_bound", "fit_decay"):
+            monkeypatch.setattr(analysis, name, lambda *a, _f=getattr(analysis, name), _n=name,
+                                **k: calls.append(_n) or _f(*a, **k))
+        ts = np.linspace(0, 10, 200)
+        reports = synthetic_reports(ts, np.exp(-ts), cross_term=0.0)
+        run_checks(reports, DomainSpec(3, np.pi, 4), PARAMS)
+        assert sorted(calls) == ["check_energy_identity", "check_integral_bound",
+                                 "check_virial_identity", "fit_decay"]

@@ -3,10 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logwave
 from logwave.cli import (
@@ -291,14 +295,32 @@ class TestOtherCommands:
 
     def test_verify_roundtrip(self, tmp_path):
         cfg = fast_run_config(tmp_path)
-        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_OK
-        code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
-        assert code == EXIT_OK
-        report = json.loads((tmp_path / "summary.json").read_text())
-        names = {c["name"]: c for c in report["checks"]}
+        checks = {}
+        for command in ("run", "verify"):
+            assert main([command, "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+            checks[command] = json.loads((tmp_path / "summary.json").read_text())["checks"]
+        names = {c["name"]: c for c in checks["verify"]}
         assert names["energy_identity"]["status"] == "PASS"
         # the velocity-gradient column is not in the CSV
         assert names["poincare_margin"]["status"] == "SKIP"
+        # both commands evaluate one check table; verify has no stable-set
+        # verdict either, so it skips those rows and agrees on all others
+        assert [c["name"] for c in checks["run"]] == [c["name"] for c in checks["verify"]]
+        skipped = {"invariance_I_positive", "invariance_E_below_threshold", "uniform_bound",
+                   "poincare_margin"}
+        for ran, verified in zip(checks["run"], checks["verify"]):
+            if ran["name"] in skipped:
+                assert (ran["status"], verified["status"]) == ("PASS", "SKIP")
+            else:
+                assert ({k: ran[k] for k in ("status", "measured", "tolerance")}
+                        == {k: verified[k] for k in ("status", "measured", "tolerance")})
+
+    @pytest.mark.parametrize("command", ["run", "verify", "depend", "converge", "welldepth"])
+    @pytest.mark.parametrize("length", [1e150, 1e-160])
+    def test_length_out_of_float_range_exits_config(self, tmp_path, capsys, command, length):
+        cfg = fast_run_config(tmp_path, domain={"length": length})
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+        assert "length" in capsys.readouterr().err
 
     def test_verify_rejects_malformed_csv(self, tmp_path):
         cfg = fast_run_config(tmp_path)
@@ -352,3 +374,94 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.strip()
     assert out == ""
+
+
+# Config fuzzing: every JSON document ends in exit code 0, 2, 3 or 4, never in
+# a traceback.  A document is mostly well formed; up to three keys with cheap
+# defaults are left out, and at most one key gets a value of any type or an
+# unknown name.  Only sizes are bounded, to keep the test well under 10 s:
+# modes_per_dim and m_list entries <= 4, oversample <= 3, at most 50 steps
+# (so dt and t_end never get a wrong number), trial_count <= 4 and at most
+# two epsilons.  Lengths, amplitudes, exponents, time steps, thresholds and
+# seeds range over all floats (nan and infinities included) and all integers.
+# Output paths are relative, so nothing is written outside the test directory.
+_TEXT = st.booleans() | st.text(max_size=3) | st.lists(st.integers(-1, 4), max_size=3)
+_OPTIONAL = ("domain.oversample model.unsafe_gamma model.source_enabled solver.scheme "
+             "solver.blowup_threshold solver.report_every initial.type initial.mode "
+             "initial.seed initial.path well.safety well.seed outputs.csv_path "
+             "outputs.json_path study.epsilons").split()
+
+
+def _mostly(typical, rare):
+    # hypothesis favours boundary values, so the rare branch sits in the middle
+    return st.integers(0, 19).flatmap(lambda i: rare if i == 7 else typical)
+
+
+def _extreme(low, high):
+    return _mostly(st.floats(low, high), st.floats() | st.integers())
+
+
+@st.composite
+def config_documents(draw, data_files):
+    dim = draw(_mostly(st.sampled_from([1, 2, 3]), st.integers(0, 4)))
+    m = draw(_mostly(st.integers(1, 4), st.integers(-1, 0)))
+    dt = draw(_extreme(1e-4, 0.1))
+    seed = _mostly(st.integers(0, 2 ** 70), st.integers())
+    paths = st.sampled_from(["t.csv", "s.json", "", ".", "..", "sub/t.csv"])
+    doc = {
+        "domain": {"dim": dim, "length": draw(_extreme(0.5, 5.0)), "modes_per_dim": m,
+                   "oversample": draw(_mostly(st.integers(2, 3), st.integers(0, 1)))},
+        "model": {"gamma": draw(_extreme(4.0, 5.9)),
+                  "unsafe_gamma": draw(_mostly(st.just(dim < 3), st.booleans())),
+                  "source_enabled": draw(_mostly(st.just(True), st.just(False)))},
+        # a t_end 1 % off a multiple of dt is rejected
+        "solver": {"dt": dt, "t_end": draw(st.integers(1, 50)) * dt
+                   * draw(_mostly(st.just(1.0), st.just(1.01))),
+                   "scheme": draw(st.sampled_from(["IMEX2", "IMEX1"])),
+                   "blowup_threshold": draw(_extreme(2.0, 1e10)),
+                   "report_every": draw(_mostly(st.integers(1, 60), st.integers(-1, 0)))},
+        "initial": {"type": draw(_mostly(st.sampled_from(["eigenmode", "random"]), st.just("file"))),
+                    "amplitude": draw(_extreme(-0.1, 0.1)),
+                    "mode": draw(_mostly(st.lists(st.integers(1, max(m, 1)), min_size=dim,
+                                                  max_size=dim),
+                                         st.lists(st.integers(0, 5), max_size=4))),
+                    "seed": draw(seed), "path": draw(st.sampled_from(data_files))},
+        "well": {"trial_count": draw(_mostly(st.integers(0, 4), st.just(-1))),
+                 "safety": draw(_extreme(0.01, 1.0)), "seed": draw(seed)},
+        "outputs": {"csv_path": draw(_mostly(st.just("t.csv"), paths)),
+                    "json_path": draw(_mostly(st.just("s.json"), paths))},
+        "study": {"m_list": draw(_mostly(st.lists(st.integers(1, 4), min_size=2, max_size=3,
+                                                  unique=True).map(sorted),
+                                         st.lists(st.integers(-1, 4), max_size=3))),
+                  "epsilons": draw(st.lists(_extreme(0.0, 1e-2), max_size=2))},
+    }
+    for path in draw(st.lists(st.sampled_from(_OPTIONAL), max_size=3)):
+        section, key = path.split(".")
+        doc[section].pop(key, None)
+    if draw(st.integers(0, 4)) == 2:
+        section = draw(st.sampled_from(sorted(doc)))
+        key = draw(st.sampled_from(sorted(doc[section]) or ["x"]) | st.text(max_size=2))
+        junk = _TEXT if key in ("dt", "t_end") else _TEXT | st.integers(-3, 3) | st.floats()
+        doc[section][key] = draw(junk)
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "depend", "converge", "welldepth"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_config_document_exits_cleanly(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        np.savez(tmp / "good.npz", u0=np.full((2, 2, 2), 0.01))
+        np.savez(tmp / "flat.npz", u0=np.ones(3), u1=np.zeros(3))
+        doc = data.draw(config_documents([str(tmp / "good.npz"), str(tmp / "flat.npz"),
+                                          str(tmp / "absent.npz"), ""]))
+        out = tmp / "out"
+        out.mkdir()
+        for name in ("t.csv", "trajectory.csv"):  # one sample for verify to read
+            (out / name).write_text(f"{','.join(CSV_COLUMNS)}\n{','.join(['0.5'] * 11)}\n")
+        config = write_config(tmp / "config.json", doc)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", config, "--output-dir", str(out), "--quiet"])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP, EXIT_CHECKS)

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from logwave.domain import (
     DomainSpec,
-    GridField,
     ModalField,
     analyze,
     eigenpair,
@@ -18,8 +17,6 @@ from logwave.domain import (
     poincare_constant,
     random_band_limited,
     synthesize,
-    to_grid,
-    to_modal,
 )
 
 # transforms against references, relative to the reference's max-abs
@@ -65,6 +62,10 @@ class TestDomainSpec:
             DomainSpec(1, np.pi, 0)
         with pytest.raises(ValueError):
             DomainSpec(1, np.pi, 8, oversample=1)
+        # (L/2)^dim or lambda_max overflows, or h^dim or lambda_min underflows to 0
+        for dim, length in ((3, 1e150), (3, 1e-160), (1, 1e308), (3, 1e-110)):
+            with pytest.raises(ValueError, match="length"):
+                DomainSpec(dim, length, 8)
 
     def test_grid_geometry(self):
         dom = DomainSpec(2, 2.0, 4, 3)
@@ -108,9 +109,9 @@ class TestEigenpair:
 class TestTransforms:
     def test_zero_field(self):
         dom = DomainSpec(2, np.pi, 4)
-        g = to_grid(ModalField.zeros(dom))
-        assert not np.any(g.values)
-        assert not np.any(to_modal(g).coeffs)
+        values = synthesize(dom, np.zeros(dom.modal_shape))
+        assert not np.any(values)
+        assert not np.any(analyze(dom, values))
 
     def test_single_mode_synthesis(self):
         dom = DomainSpec(3, 1.5, 3)
@@ -118,36 +119,35 @@ class TestTransforms:
         x = dom.axis_coordinates
         s = np.sin(np.pi * x / dom.length)
         expected = np.einsum("i,j,k->ijk", s, s, s)
-        g = to_grid(f)
-        assert np.abs(g.values - expected).max() < 1e-12
-        back = to_modal(g)
-        assert abs(back.coeffs[0, 0, 0] - 1.0) < 1e-12
-        off = back.coeffs.copy()
-        off[0, 0, 0] = 0.0
-        assert np.abs(off).max() < 1e-12
+        values = synthesize(dom, f.coeffs)
+        assert np.abs(values - expected).max() < 1e-12
+        back = analyze(dom, values)
+        assert abs(back[0, 0, 0] - 1.0) < 1e-12
+        back[0, 0, 0] = 0.0
+        assert np.abs(back).max() < 1e-12
 
     @pytest.mark.parametrize("dim,m,ov", [(1, 16, 2), (2, 6, 2), (3, 4, 3)])
     def test_round_trip_random(self, dim, m, ov):
         dom = DomainSpec(dim, 2.2, m, ov)
         rng = np.random.default_rng(7)
         f = random_band_limited(dom, rng)
-        back = to_modal(to_grid(f))
+        back = analyze(dom, synthesize(dom, f.coeffs))
         scale = np.abs(f.coeffs).max()
-        assert np.abs(back.coeffs - f.coeffs).max() < 1e-12 * scale
+        assert np.abs(back - f.coeffs).max() < 1e-12 * scale
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_against_dense_oracle(self, dim):
         dom = DomainSpec(dim, 1.3, 4, 2)
         rng = np.random.default_rng(11)
         f = random_band_limited(dom, rng)
-        g = to_grid(f)
+        values = synthesize(dom, f.coeffs)
         dense = sine_sum_synthesis(dom, f.coeffs)
-        assert np.abs(g.values - dense).max() < 1e-12 * np.abs(dense).max()
+        assert np.abs(values - dense).max() < 1e-12 * np.abs(dense).max()
         # analysis is the L2 projection of grid data onto the band
         arbitrary = rng.standard_normal(dom.grid_shape)
-        proj = to_modal(GridField(dom, arbitrary))
+        proj = analyze(dom, arbitrary)
         dense_proj = sine_sum_analysis(dom, arbitrary)
-        assert np.abs(proj.coeffs - dense_proj).max() < 1e-12 * np.abs(dense_proj).max()
+        assert np.abs(proj - dense_proj).max() < 1e-12 * np.abs(dense_proj).max()
 
     @pytest.mark.parametrize("oversample", [2, 3])
     @pytest.mark.parametrize("m", [1, 3, 8])
@@ -179,8 +179,6 @@ class TestTransforms:
         dom = DomainSpec(2, np.pi, 4)
         with pytest.raises(ValueError):
             ModalField(dom, np.zeros((4, 5)))
-        with pytest.raises(ValueError):
-            GridField(dom, np.zeros((8, 7)))
 
     def test_coefficients_immutable(self):
         dom = DomainSpec(1, np.pi, 4)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from logwave.domain import DomainSpec, ModalField, poincare_constant
-from logwave.functionals import ModelParams, uniform_bound_constant
+from logwave.analysis import CHECKS, CheckInput
+from logwave.domain import DomainSpec, ModalField
+from logwave.functionals import ModelParams
 from logwave.solver import (
     BLOWUP,
     COMPLETED,
@@ -14,8 +15,15 @@ from logwave.solver import (
     rhs_nonlinear,
     step,
 )
+from logwave.well import estimate_depth, stable_set_check
 
 PARAMS = ModelParams(4.0, 3)
+
+
+def measure(name, dom, result, verdict=None):
+    """The check table's measure of one check on a trajectory."""
+    row = next(c for c in CHECKS if c.name == name)
+    return row.measure(CheckInput(result.reports, dom, PARAMS, verdict))
 
 
 def params_1d(gamma=4.0, source=True):
@@ -163,10 +171,8 @@ class TestIntegrate:
             assert rep.E == 0.0 and rep.identity_residual == 0.0
 
     def test_energy_monotone(self, short_stable_run):
-        _, runs = short_stable_run
-        reports = runs[1e-3].reports
-        e = np.array([r.E for r in reports])
-        assert np.all(np.diff(e) <= 1e-10 * e[0])
+        dom, runs = short_stable_run
+        assert measure("monotone_dissipation", dom, runs[1e-3]) <= 1e-10
 
     def test_energy_identity_self_convergence(self, short_stable_run):
         _, runs = short_stable_run
@@ -185,20 +191,15 @@ class TestIntegrate:
 
     def test_pointwise_poincare(self, short_stable_run):
         dom, runs = short_stable_run
-        cp = poincare_constant(dom)
-        for rep in runs[1e-3].reports[1:]:
-            if rep.grad_ut_sq > 0:
-                margin = np.sqrt(2 * rep.kinetic) / (cp * np.sqrt(rep.grad_ut_sq))
-                assert margin <= 1 + 1e-10
+        assert measure("poincare_margin", dom, runs[1e-3]) <= 1 + 1e-10
 
     def test_uniform_bound_along_run(self, short_stable_run):
-        _, runs = short_stable_run
-        reports = runs[1e-3].reports
-        c3 = uniform_bound_constant(4.0)
-        e0 = reports[0].E
-        for rep in reports:
-            assert rep.I > 0
-            assert c3 * (2 * rep.kinetic + rep.grad_sq + rep.lgamma) < e0
+        dom, runs = short_stable_run
+        u0 = ModalField.eigenmode(dom, (1, 1, 1), 0.05)
+        d_hat = estimate_depth([u0], PARAMS).d_hat
+        verdict = stable_set_check(u0, ModalField.zeros(dom), d_hat, 0.5, PARAMS)
+        assert measure("invariance_I_positive", dom, runs[1e-3], verdict) > 0
+        assert measure("uniform_bound", dom, runs[1e-3], verdict) < 1.0
 
     def test_report_cadence_and_times(self, short_stable_run):
         _, runs = short_stable_run
