@@ -46,7 +46,6 @@ from .solver import (
     SolverConfig,
     blowup_scan,
     integrate,
-    rhs_nonlinear,
     step,
 )
 from .well import (

@@ -354,6 +354,9 @@ def continuous_dependence(
     epsilon = 0 the perturbed run reproduces the base run exactly (the
     integrator is a deterministic function of its inputs).
     """
+    for eps in epsilons:
+        if not math.isfinite(eps) or (eps and eps * eps == 0.0):
+            raise ValueError(f"epsilon {eps!r} must be finite, with a nonzero square if nonzero")
     base = integrate(u0, u1, cfg, params, store_states=True)
     if base.status != COMPLETED:
         return DependenceReport((), tuple(epsilons), (), (), float("nan"),

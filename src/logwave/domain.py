@@ -229,9 +229,14 @@ def analyze(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
     return (a @ x.reshape(domain.grid_per_dim, -1)).reshape(domain.modal_shape)
 
 
+def coeff_grad_norm_sq(domain: DomainSpec, coeffs: np.ndarray) -> float:
+    """||grad u||_2^2 of raw modal coefficients as the exact modal sum."""
+    return float(np.sum(domain.eigenvalues * coeffs ** 2) * domain.mode_norm_sq)
+
+
 def grad_norm_sq(f: ModalField) -> float:
     """||grad u||_2^2 as the exact modal sum."""
-    return float(np.sum(f.domain.eigenvalues * f.coeffs ** 2) * f.domain.mode_norm_sq)
+    return coeff_grad_norm_sq(f.domain, f.coeffs)
 
 
 def l2_norm_sq(f: ModalField) -> float:

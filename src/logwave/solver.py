@@ -17,6 +17,10 @@ The integrator maintains a discrete energy ledger: the accumulated
 dissipation integral of ||grad u_t||^2 (trapezoidal, matching the scheme's
 order) and the residual of E(t) + integral - E(0), which would vanish for
 the exact flow and is O(dt^2) for the scheme.
+
+The time loop runs on the raw coefficient arrays of u and u_t, with the last
+source, the ledger and the last ||grad u_t||^2 as locals; ``ModalField`` and
+``SimState`` are built only at reports and for the final state.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import DomainSpec, ModalField, analyze, grad_norm_sq, synthesize
+from .domain import DomainSpec, ModalField, analyze, coeff_grad_norm_sq, synthesize
 from .functionals import EnergyReport, ModelParams, energy, source_eval
 
 RUNNING = "RUNNING"
@@ -60,18 +64,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """State (u, u_t) plus the discrete dissipation ledger.
-
-    ``source_prev`` carries the previous source evaluation for the IMEX2
-    extrapolation; it is None before the first step.
-    """
+    """State (u, u_t) plus the discrete dissipation ledger."""
 
     u: ModalField
     ut: ModalField
     t: float = 0.0
     damping_integral: float = 0.0
-    step_count: int = 0
-    source_prev: ModalField | None = None
 
 
 @dataclass
@@ -83,24 +81,12 @@ class IntegrationResult:
     states: list[SimState] | None = None
 
 
-def _adopt(domain: DomainSpec, coeffs: np.ndarray) -> ModalField:
-    """Wrap a freshly computed array that nothing else references, without a copy."""
-    coeffs.flags.writeable = False
-    return ModalField(domain, coeffs)
-
-
-def rhs_nonlinear(u: ModalField, params: ModelParams) -> ModalField:
-    """Modal projection of the source: F = P_band f(u) in the eigenbasis."""
-    values = source_eval(synthesize(u.domain, u.coeffs), params.gamma)
-    return _adopt(u.domain, analyze(u.domain, values))
-
-
-def blowup_scan(state: SimState, threshold: float) -> str:
+def blowup_scan(domain: DomainSpec, a: np.ndarray, b: np.ndarray, threshold: float) -> str:
     """BLOWUP iff a coefficient is non-finite or ||grad u||_2 exceeds threshold."""
-    if not (state.u.is_finite and state.ut.is_finite):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         return BLOWUP
     # a float product saturates to inf where ** raises OverflowError
-    if grad_norm_sq(state.u) > threshold * threshold:
+    if coeff_grad_norm_sq(domain, a) > threshold * threshold:
         return BLOWUP
     return RUNNING
 
@@ -125,45 +111,27 @@ def _trapezoid(domain: DomainSpec, dt: float) -> tuple[np.ndarray, ...]:
     return coeffs
 
 
-def step(state: SimState, cfg: SolverConfig, params: ModelParams) -> SimState:
-    """Advance one time step; pure function of the state."""
-    dom = state.u.domain
-    aa, ab, af, ba, bb, bf = _trapezoid(dom, cfg.dt)
-    a = state.u.coeffs
-    b = state.ut.coeffs
+def step(domain: DomainSpec, a: np.ndarray, b: np.ndarray, f_prev: np.ndarray | None,
+         cfg: SolverConfig, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Advance the coefficients (a, b) of (u, u_t) by one time step.
+
+    ``f_prev`` is the source of the previous step (None before the first);
+    the returned ``f_now`` is the source at ``a``, None with the source off.
+    """
+    aa, ab, af, ba, bb, bf = _trapezoid(domain, cfg.dt)
     a_new = aa * a + ab * b
     b_new = ba * a + bb * b
-
-    if params.source_enabled:
-        f_now = rhs_nonlinear(state.u, params)
-        if cfg.scheme == "IMEX2" and state.source_prev is not None:
-            f_star = 1.5 * f_now.coeffs - 0.5 * state.source_prev.coeffs
-        else:
-            f_star = f_now.coeffs
-        a_new += af * f_star
-        b_new += bf * f_star
+    if not params.source_enabled:
+        return a_new, b_new, None
+    # the modal projection F = P_band f(u) of the source in the eigenbasis
+    f_now = analyze(domain, source_eval(synthesize(domain, a), params.gamma))
+    if cfg.scheme == "IMEX2" and f_prev is not None:
+        f_star = 1.5 * f_now - 0.5 * f_prev
     else:
-        f_now = None
-
-    ut_new = _adopt(dom, b_new)
-    damp = state.damping_integral + 0.5 * cfg.dt * (
-        grad_norm_sq(state.ut) + grad_norm_sq(ut_new)
-    )
-    count = state.step_count + 1
-    return SimState(
-        u=_adopt(dom, a_new), ut=ut_new, t=count * cfg.dt, damping_integral=damp,
-        step_count=count, source_prev=f_now,
-    )
-
-
-def _report(state: SimState, params: ModelParams, e0: float) -> EnergyReport:
-    rep = energy(state.u, state.ut, params)
-    return replace(
-        rep,
-        t=state.t,
-        damping_integral=state.damping_integral,
-        identity_residual=rep.E + state.damping_integral - e0,
-    )
+        f_star = f_now
+    a_new += af * f_star
+    b_new += bf * f_star
+    return a_new, b_new, f_now
 
 
 def integrate(
@@ -182,24 +150,30 @@ def integrate(
     """
     if u0.domain != u1.domain:
         raise ValueError("u0 and u1 live on different domains")
+    dom = u0.domain
     state = SimState(u=u0, ut=u1)
-    rep0 = _report(state, params, e0=0.0)
-    e0 = rep0.E
-    rep0 = replace(rep0, identity_residual=0.0)
+    rep0 = energy(u0, u1, params)
     reports = [rep0]
     states = [state] if store_states else None
 
+    a, b, f, damp = u0.coeffs, u1.coeffs, None, 0.0
+    grad_ut_sq = coeff_grad_norm_sq(dom, b)
     n_steps = round(cfg.t_end / cfg.dt)
     for n in range(1, n_steps + 1):
-        state = step(state, cfg, params)
-        if blowup_scan(state, cfg.blowup_threshold) == BLOWUP:
-            return IntegrationResult(
-                reports=reports, final=state, status=BLOWUP,
-                t_max=state.t, states=states,
-            )
-        if n % cfg.report_every == 0 or n == n_steps:
-            reports.append(_report(state, params, e0))
-            if states is not None:
-                states.append(state)
+        a, b, f = step(dom, a, b, f, cfg, params)
+        grad_ut_prev, grad_ut_sq = grad_ut_sq, coeff_grad_norm_sq(dom, b)
+        damp += 0.5 * cfg.dt * (grad_ut_prev + grad_ut_sq)
+        status = blowup_scan(dom, a, b, cfg.blowup_threshold)
+        if status == RUNNING and n % cfg.report_every and n != n_steps:
+            continue
+        state = SimState(ModalField(dom, a), ModalField(dom, b), n * cfg.dt, damp)
+        if status == BLOWUP:
+            return IntegrationResult(reports=reports, final=state, status=BLOWUP,
+                                     t_max=state.t, states=states)
+        rep = energy(state.u, state.ut, params)
+        reports.append(replace(rep, t=state.t, damping_integral=damp,
+                               identity_residual=rep.E + damp - rep0.E))
+        if states is not None:
+            states.append(state)
     return IntegrationResult(reports=reports, final=state, status=COMPLETED,
                              states=states)

@@ -193,6 +193,13 @@ class TestContinuousDependence:
         # perturbation has unit gradient norm: D(0) = eps^2
         assert report.D[0][0] == pytest.approx(1e-6, rel=1e-10)
 
+    @pytest.mark.parametrize("eps", [1e-170, -1e-170, float("nan"), float("inf")])
+    def test_bad_epsilon_rejected_before_integrating(self, setup, eps, monkeypatch):
+        u0, u1, cfg = setup
+        monkeypatch.setattr(analysis, "integrate", lambda *a, **k: pytest.fail("integrated"))
+        with pytest.raises(ValueError, match="epsilon"):
+            continuous_dependence(u0, u1, cfg, PARAMS, epsilons=(1e-3, eps), seed=4)
+
 
 class TestConvergenceStudy:
     def test_linear_band_preserving(self):

@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logwave.analysis import CHECKS, CheckInput
-from logwave.domain import DomainSpec, ModalField
-from logwave.functionals import ModelParams
+from logwave.domain import (
+    DomainSpec,
+    ModalField,
+    analyze,
+    grad_norm_sq,
+    random_band_limited,
+    synthesize,
+)
+from logwave.functionals import ModelParams, source_eval
 from logwave.solver import (
     BLOWUP,
     COMPLETED,
     RUNNING,
-    SimState,
+    SCHEMES,
     SolverConfig,
     blowup_scan,
     integrate,
-    rhs_nonlinear,
     step,
 )
 from logwave.well import estimate_depth, stable_set_check
@@ -48,22 +56,21 @@ def damped_mode_exact(lam: float, t: np.ndarray, a0: float = 1.0, b0: float = 0.
 class TestRhsNonlinear:
     def test_zero(self):
         dom = DomainSpec(3, np.pi, 4)
-        F = rhs_nonlinear(ModalField.zeros(dom), PARAMS)
-        assert not np.any(F.coeffs)
+        F = analyze(dom, source_eval(synthesize(dom, np.zeros(dom.modal_shape)), 4.0))
+        assert not np.any(F)
 
     def test_plateau_nearly_annihilated(self):
         # grid values ~ 1 in the interior make ln|u| ~ 0 there
         dom = DomainSpec(1, np.pi, 32, 16)
-        from logwave.domain import analyze
-        plateau = ModalField(dom, analyze(dom, np.ones(dom.grid_shape)))
-        F_plateau = rhs_nonlinear(plateau, params_1d())
-        F_lifted = rhs_nonlinear(plateau.scaled(np.e), params_1d())
-        assert np.abs(F_plateau.coeffs).max() < 0.1 * np.abs(F_lifted.coeffs).max()
+        plateau = analyze(dom, np.ones(dom.grid_shape))
+        F_plateau = analyze(dom, source_eval(synthesize(dom, plateau), 4.0))
+        F_lifted = analyze(dom, source_eval(synthesize(dom, np.e * plateau), 4.0))
+        assert np.abs(F_plateau).max() < 0.1 * np.abs(F_lifted).max()
 
     def test_against_dense_quadrature_oracle(self):
         dom = DomainSpec(1, np.pi, 8, 32)
         u = ModalField.eigenmode(dom, (1,), 0.3)
-        F = rhs_nonlinear(u, params_1d())
+        F = analyze(dom, source_eval(synthesize(dom, u.coeffs), 4.0))
         x = np.linspace(0, np.pi, 200001)
         uv = 0.3 * np.sin(x)
         fv = np.abs(uv) ** 2 * uv * np.log(np.maximum(np.abs(uv), 1e-300))
@@ -71,37 +78,39 @@ class TestRhsNonlinear:
             np.trapezoid(fv * np.sin(k * x), x) / (np.pi / 2) for k in range(1, 9)
         ])
         scale = np.abs(oracle).max()
-        assert np.abs(F.coeffs - oracle).max() <= 1e-8 * scale
+        assert np.abs(F - oracle).max() <= 1e-8 * scale
 
 
 class TestStep:
     def test_zero_fixed_point(self):
         dom = DomainSpec(3, np.pi, 4)
-        state = SimState(u=ModalField.zeros(dom), ut=ModalField.zeros(dom))
-        nxt = step(state, SolverConfig(dt=1e-3), PARAMS)
-        assert not np.any(nxt.u.coeffs)
-        assert not np.any(nxt.ut.coeffs)
-        assert nxt.damping_integral == 0.0
-        assert nxt.step_count == 1
+        zero = np.zeros(dom.modal_shape)
+        a, b, f = step(dom, zero, zero, None, SolverConfig(dt=1e-3), PARAMS)
+        assert not np.any(a)
+        assert not np.any(b)
+        assert not np.any(f)
+        one = integrate(ModalField.zeros(dom), ModalField.zeros(dom),
+                        SolverConfig(dt=1e-3, t_end=1e-3), PARAMS)
+        assert one.final.damping_integral == 0.0
 
     def test_first_imex2_step_equals_imex1(self):
         dom = DomainSpec(3, np.pi, 4)
-        u = ModalField.eigenmode(dom, (1, 1, 1), 0.3)
-        ut = ModalField.eigenmode(dom, (2, 1, 1), 0.1)
-        s2 = step(SimState(u=u, ut=ut), SolverConfig(dt=1e-3, scheme="IMEX2"), PARAMS)
-        s1 = step(SimState(u=u, ut=ut), SolverConfig(dt=1e-3, scheme="IMEX1"), PARAMS)
-        assert np.array_equal(s2.u.coeffs, s1.u.coeffs)
-        assert np.array_equal(s2.ut.coeffs, s1.ut.coeffs)
+        u = ModalField.eigenmode(dom, (1, 1, 1), 0.3).coeffs
+        ut = ModalField.eigenmode(dom, (2, 1, 1), 0.1).coeffs
+        a2, b2, _ = step(dom, u, ut, None, SolverConfig(dt=1e-3, scheme="IMEX2"), PARAMS)
+        a1, b1, _ = step(dom, u, ut, None, SolverConfig(dt=1e-3, scheme="IMEX1"), PARAMS)
+        assert np.array_equal(a2, a1)
+        assert np.array_equal(b2, b1)
 
     def test_second_steps_differ_between_schemes(self):
         dom = DomainSpec(3, np.pi, 4)
-        u = ModalField.eigenmode(dom, (1, 1, 1), 0.5)
-        ut = ModalField.zeros(dom)
+        u = ModalField.eigenmode(dom, (1, 1, 1), 0.5).coeffs
+        ut = np.zeros(dom.modal_shape)
         cfg2 = SolverConfig(dt=1e-2, scheme="IMEX2")
         cfg1 = SolverConfig(dt=1e-2, scheme="IMEX1")
-        s2 = step(step(SimState(u=u, ut=ut), cfg2, PARAMS), cfg2, PARAMS)
-        s1 = step(step(SimState(u=u, ut=ut), cfg1, PARAMS), cfg1, PARAMS)
-        assert not np.array_equal(s2.u.coeffs, s1.u.coeffs)
+        a2, _, _ = step(dom, *step(dom, u, ut, None, cfg2, PARAMS), cfg2, PARAMS)
+        a1, _, _ = step(dom, *step(dom, u, ut, None, cfg1, PARAMS), cfg1, PARAMS)
+        assert not np.array_equal(a2, a1)
 
     @pytest.mark.parametrize("k,expect_complex", [((1, 1, 1), True), ((2, 2, 2), False)])
     def test_linear_matches_closed_form(self, k, expect_complex):
@@ -123,20 +132,18 @@ class TestStep:
 class TestBlowupScan:
     def test_zero_running(self):
         dom = DomainSpec(3, np.pi, 4)
-        state = SimState(u=ModalField.zeros(dom), ut=ModalField.zeros(dom))
-        assert blowup_scan(state, 1e8) == RUNNING
+        zero = np.zeros(dom.modal_shape)
+        assert blowup_scan(dom, zero, zero, 1e8) == RUNNING
 
     def test_non_finite_flags(self):
         dom = DomainSpec(1, np.pi, 4)
-        bad = ModalField(dom, np.array([np.inf, 0.0, 0.0, 0.0]))
-        state = SimState(u=bad, ut=ModalField.zeros(dom))
-        assert blowup_scan(state, 1e8) == BLOWUP
+        bad = np.array([np.inf, 0.0, 0.0, 0.0])
+        assert blowup_scan(dom, bad, np.zeros(4), 1e8) == BLOWUP
 
     def test_threshold_flags(self):
         dom = DomainSpec(1, np.pi, 4)
-        state = SimState(u=ModalField.eigenmode(dom, (1,), 1e9),
-                         ut=ModalField.zeros(dom))
-        assert blowup_scan(state, 1e8) == BLOWUP
+        big = ModalField.eigenmode(dom, (1,), 1e9).coeffs
+        assert blowup_scan(dom, big, np.zeros(4), 1e8) == BLOWUP
 
     def test_unstable_large_amplitude_blows_up(self):
         # I(u0) < 0 and E(0) far above any well-depth estimate
@@ -200,6 +207,55 @@ class TestIntegrate:
         verdict = stable_set_check(u0, ModalField.zeros(dom), d_hat, 0.5, PARAMS)
         assert measure("invariance_I_positive", dom, runs[1e-3], verdict) > 0
         assert measure("uniform_bound", dom, runs[1e-3], verdict) < 1.0
+
+    @settings(deadline=None, max_examples=60)
+    @given(dim=st.integers(1, 3), m=st.integers(1, 4), scheme=st.sampled_from(SCHEMES),
+           source=st.booleans(), report_every=st.sampled_from([1, 3, 7]),
+           n_steps=st.integers(1, 25), log10_amplitude=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_chain_of_steps(self, dim, m, scheme, source, report_every,
+                                    n_steps, log10_amplitude, seed):
+        # amplitudes above about 1 cross the threshold, at the first step or later
+        dom = DomainSpec(dim, np.pi, m)
+        params = ModelParams(4.0, dim, unsafe_gamma=True, source_enabled=source)
+        dt = 1e-2
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme=scheme,
+                           blowup_threshold=1e3, report_every=report_every)
+        rng = np.random.default_rng(seed)
+        u0 = random_band_limited(dom, rng).scaled(10.0 ** log10_amplitude)
+        u1 = random_band_limited(dom, rng).scaled(10.0 ** log10_amplitude)
+        result = integrate(u0, u1, cfg, params, store_states=True)
+
+        a, b, f, damp = u0.coeffs, u1.coeffs, None, 0.0
+        expected = [(0, a, b, damp)]
+        status = COMPLETED
+        for n in range(1, n_steps + 1):
+            a_new, b_new, f = step(dom, a, b, f, cfg, params)
+            damp += 0.5 * dt * (grad_norm_sq(ModalField(dom, b))
+                                + grad_norm_sq(ModalField(dom, b_new)))
+            a, b = a_new, b_new
+            if blowup_scan(dom, a, b, cfg.blowup_threshold) == BLOWUP:
+                status = BLOWUP
+                break
+            if n % report_every == 0 or n == n_steps:
+                expected.append((n, a, b, damp))
+
+        assert result.status == status
+        assert len(result.states) == len(result.reports) == len(expected)
+        for state, rep, (k, a_k, b_k, damp_k) in zip(result.states, result.reports, expected):
+            assert np.array_equal(state.u.coeffs, a_k)
+            assert np.array_equal(state.ut.coeffs, b_k)
+            assert state.t == rep.t == k * dt
+            assert state.damping_integral == rep.damping_integral == damp_k
+        ledger = [s.damping_integral for s in result.states]
+        assert all(d1 >= d0 for d0, d1 in zip(ledger, ledger[1:]))
+        final = result.states[-1] if status == COMPLETED else result.final
+        assert np.array_equal(final.u.coeffs, a) and np.array_equal(final.ut.coeffs, b)
+        assert final.t == n * dt and final.damping_integral == damp
+        if status == BLOWUP:
+            assert result.t_max == n * dt
+        else:
+            assert result.final is final
 
     def test_report_cadence_and_times(self, short_stable_run):
         _, runs = short_stable_run
