@@ -372,7 +372,8 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                                           cfg.well.seed)
     depth = estimate_depth(trials, cfg.model, cfg.well.safety, labels)
     u0, u1 = build_initial(cfg)
-    verdict = stable_set_check(u0, u1, depth.d_hat, cfg.well.safety, cfg.model)
+    # before the stable-set test, whose energy would overflow (with warnings)
+    # on the same data
     try:
         dual_norm = source_dual_norm(u0, cfg.model) if cfg.model.source_enabled else None
     except ValueError as exc:
@@ -380,6 +381,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             f"'initial.amplitude' ({cfg.initial.amplitude:g}) puts the initial "
             f"source out of floating-point range: {exc}"
         ) from exc
+    verdict = stable_set_check(u0, u1, depth.d_hat, cfg.well.safety, cfg.model)
     if not quiet:
         print(f"well depth estimate d_hat={depth.d_hat:.6g} "
               f"(threshold {verdict.threshold:.6g}); stable set: {verdict.status}")

@@ -10,6 +10,15 @@ relevant scalars of a state (u, u_t) are
 with B(u) = integral of |u|^g ln|u|.  Quadratic terms are exact modal sums;
 B and ||u||_g^g are evaluated by quadrature from a single shared grid
 synthesis so that E, J and I of one report are mutually consistent.
+
+All pointwise log work (the source, the two moments and the dual norm of
+the source) goes through one kernel, ``_pow_log``, which takes one log per
+grid point and builds |s|^p from it as exp(p ln|s|) unless p is an integer
+from 1 to 4.  Each call holds at most two grid-sized float arrays and
+multiplies into them in place: four or five temporaries per call leave
+more than the allocator's trim threshold free on a 32^3 grid, so that
+every call maps its pages anew from the operating system, which costs
+more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -114,19 +123,33 @@ CSV_COLUMNS = (
 )
 
 
-def _abs_pow(a: np.ndarray, p: float) -> np.ndarray:
-    # integer powers dominate the hot path; np.power with a float exponent
-    # costs a transcendental per element
+def _pow_log(s, p: float):
+    """(|s|^p, ln max(|s|, ZERO_CLIP), |s| < ZERO_CLIP) from one log per point.
+
+    The two float arrays are fresh and the input is left alone; callers
+    multiply into them in place and zero the masked points of their
+    product, where the power is unspecified.  Integer p from 1 to 4 is a
+    product of copies of |s|, which costs no transcendental and keeps
+    integer gamma exact to the last bit; any other p is exp(p ln|s|).
+    """
+    a = np.abs(s, dtype=float)
+    small = a < ZERO_CLIP
     if p == 1.0:
-        return a.copy()
-    if p == 2.0:
-        return a * a
-    if p == 3.0:
-        return a * a * a
-    if p == 4.0:
-        sq = a * a
-        return sq * sq
-    return np.power(a, p)
+        pw = a.copy()
+    elif p in (2.0, 3.0, 4.0):
+        pw = a * a
+        if p == 3.0:
+            pw *= a
+        elif p == 4.0:
+            pw *= pw
+    else:
+        pw = None
+    log_a = np.maximum(a, ZERO_CLIP, out=a)
+    np.log(log_a, out=log_a)
+    if pw is None:
+        pw = np.multiply(log_a, p)
+        np.exp(pw, out=pw)
+    return pw, log_a, small
 
 
 def source_eval(s, gamma: float):
@@ -138,24 +161,23 @@ def source_eval(s, gamma: float):
     if gamma <= 2:
         raise ValueError(f"gamma must be > 2, got {gamma}")
     arr = np.asarray(s, dtype=float)
-    a = np.abs(arr)
-    log_a = np.log(np.maximum(a, ZERO_CLIP))
-    out = _abs_pow(a, gamma - 2.0) * arr * log_a
-    # |s| < ZERO_CLIP underflows to zero in the power factor except for
-    # gamma barely above 2; clamp explicitly
-    out = np.where(a < ZERO_CLIP, 0.0, out)
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(out)
-    return out
+    scalar = arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)
+    out, log_a, small = _pow_log(arr, gamma - 2.0)
+    out *= arr
+    out *= log_a
+    out[small] = 0.0
+    return float(out[0]) if scalar else out
 
 
 def log_moments(values: np.ndarray, quad_weight: float, gamma: float) -> tuple[float, float]:
     """Quadrature of (||u||_g^g, B(u)) from grid values of u."""
-    a = np.abs(values)
-    log_a = np.log(np.maximum(a, ZERO_CLIP))
-    pg = _abs_pow(a, gamma)
+    pg, log_a, small = _pow_log(values, gamma)
     lgamma = quad_weight * float(np.sum(pg))
-    logterm = quad_weight * float(np.sum(np.where(a < ZERO_CLIP, 0.0, pg * log_a)))
+    log_a *= pg
+    log_a[small] = 0.0
+    logterm = quad_weight * float(np.sum(log_a))
     return lgamma, logterm
 
 
@@ -244,12 +266,14 @@ def source_dual_norm(u: ModalField, params: ModelParams) -> float:
     _require_finite(u, "u")
     g = params.gamma
     q = g / (g - 1.0)
-    a = np.abs(synthesize(u.domain, u.coeffs))
-    log_a = np.log(np.maximum(a, ZERO_CLIP))
-    integrand = np.where(
-        a < ZERO_CLIP, 0.0, np.abs(_abs_pow(a, g - 1.0) * log_a) ** q
-    )
-    total = u.domain.quad_weight * float(np.sum(integrand))
+    # an overflowing integrand is reported by the finiteness test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand, log_a, small = _pow_log(synthesize(u.domain, u.coeffs), g - 1.0)
+        integrand *= log_a
+        np.abs(integrand, out=integrand)
+        np.power(integrand, q, out=integrand)
+        integrand[small] = 0.0
+        total = u.domain.quad_weight * float(np.sum(integrand))
     if not math.isfinite(total):
         raise ValueError("non-finite integrand in dual-norm quadrature")
     return total ** (1.0 / q)

@@ -21,7 +21,16 @@ from logwave.analysis import (
 from logwave.domain import DomainSpec, ModalField
 from logwave.functionals import EnergyReport, ModelParams
 from logwave.solver import COMPLETED, SolverConfig, integrate
-from logwave.well import IN, StableSetVerdict
+from logwave.well import (
+    IN,
+    StableSetVerdict,
+    default_trial_family,
+    estimate_depth,
+    fiber_I,
+    fiber_moments,
+    project_to_nehari,
+    stable_set_check,
+)
 
 PARAMS = ModelParams(4.0, 3)
 LINEAR = ModelParams(4.0, 3, source_enabled=False)
@@ -270,3 +279,38 @@ class TestCheckTable:
         run_checks(reports, DomainSpec(3, np.pi, 4), PARAMS)
         assert sorted(calls) == ["check_energy_identity", "check_integral_bound",
                                  "check_virial_identity", "fit_decay"]
+
+
+class TestGammaSweep:
+    """The paper's window [4, 6) in 3-D, integer and non-integer exponents:
+    every mandatory row of the check table, second order of the energy
+    identity, the Nehari residual and the scale invariance of the fibering
+    maximum at each gamma."""
+
+    @pytest.mark.parametrize("gamma", [4.0, 4.5, 5.0, 5.5, 5.9])
+    def test_checks_and_projection(self, gamma):
+        params = ModelParams(gamma, 3)
+        dom = DomainSpec(3, np.pi, 4, 2)
+        trials, _ = default_trial_family(dom, count=4, seed=7)
+        depth = estimate_depth(trials, params, safety=0.5)
+        u0 = ModalField.eigenmode(dom, (1, 1, 1), 0.05)
+        u1 = ModalField.zeros(dom)
+        verdict = stable_set_check(u0, u1, depth.d_hat, 0.5, params)
+        assert verdict.status == IN
+
+        result = integrate(u0, u1, SolverConfig(dt=1e-3, t_end=0.5), params)
+        assert result.status == COMPLETED
+        checks, _ = run_checks(result.reports, dom, params, verdict)
+        mandatory = {c["name"]: c["status"] for c in checks if c["mandatory"]}
+        assert set(mandatory.values()) == {"PASS"}, mandatory
+        halved = integrate(u0, u1, SolverConfig(dt=5e-4, t_end=0.5), params)
+        assert (check_energy_identity(result.reports)
+                >= 3.5 * check_energy_identity(halved.reports))
+
+        for trial in trials:
+            lam, j_max = project_to_nehari(trial, params)
+            m = fiber_moments(trial, params)
+            assert abs(fiber_I(m, lam, gamma)) <= 1e-10 * lam ** 2 * m.A
+            lam_scaled, j_scaled = project_to_nehari(trial.scaled(1e3), params)
+            assert j_scaled == pytest.approx(j_max, rel=1e-10)
+            assert lam_scaled * 1e3 == pytest.approx(lam, rel=1e-10)

@@ -248,6 +248,18 @@ class TestCmdRun:
         assert code == EXIT_CONFIG
         assert "'initial.amplitude'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amplitude", [1e100, 1e200])
+    def test_overflowing_amplitude_warns_nothing(self, tmp_path, capsys, amplitude):
+        cfg = fast_run_config(tmp_path, initial={"amplitude": amplitude})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", cfg, "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("data error: 'initial.amplitude'")
+        assert err.count("\n") == 1
+
     def test_config_error_exit_code(self, tmp_path):
         bad = write_config(tmp_path / "bad.json", dict(MINIMAL, model={"gamma": 3.0}))
         assert main(["run", "--config", bad, "--quiet"]) == EXIT_CONFIG

@@ -1,10 +1,16 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logwave import functionals
 from logwave.domain import DomainSpec, ModalField, grad_norm_sq, synthesize
 from logwave.functionals import (
+    ZERO_CLIP,
     ModelParams,
     energy,
     log_bound_large,
@@ -262,3 +268,146 @@ class TestSourceDualNorm:
         integrand = np.where(a < 1e-300, 0.0, np.abs(a ** 3 * np.log(safe)) ** q)
         oracle = np.trapezoid(integrand, xf) ** (1.0 / q)
         assert got == pytest.approx(oracle, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the shared pointwise kernel against the formulas it replaced
+
+def _oracle_pow(a, p):
+    if p == 1.0:
+        return a.copy()
+    if p == 2.0:
+        return a * a
+    if p == 3.0:
+        return a * a * a
+    if p == 4.0:
+        sq = a * a
+        return sq * sq
+    return np.power(a, p)
+
+
+def oracle_source(s, gamma):
+    a = np.abs(s)
+    log_a = np.log(np.maximum(a, ZERO_CLIP))
+    return np.where(a < ZERO_CLIP, 0.0, _oracle_pow(a, gamma - 2.0) * s * log_a)
+
+
+def oracle_moment_terms(values, gamma):
+    a = np.abs(values)
+    log_a = np.log(np.maximum(a, ZERO_CLIP))
+    pg = _oracle_pow(a, gamma)
+    return pg, np.where(a < ZERO_CLIP, 0.0, pg * log_a)
+
+
+def oracle_dual_terms(values, gamma):
+    a = np.abs(values)
+    log_a = np.log(np.maximum(a, ZERO_CLIP))
+    q = gamma / (gamma - 1.0)
+    return np.where(a < ZERO_CLIP, 0.0, np.abs(_oracle_pow(a, gamma - 1.0) * log_a) ** q)
+
+
+EPS = np.finfo(float).eps
+_CLIP_NEIGHBOURS = [ZERO_CLIP, np.nextafter(ZERO_CLIP, 0.0), np.nextafter(ZERO_CLIP, 1.0)]
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan] + _CLIP_NEIGHBOURS + [-x for x in _CLIP_NEIGHBOURS]
+magnitudes = st.floats(1e-310, 1e300)
+points = st.one_of(magnitudes, magnitudes.map(lambda x: -x), st.sampled_from(SPECIAL))
+gammas = st.one_of(st.floats(2.05, 5.95), st.sampled_from([3.0, 4.0, 5.0, 6.0]))
+
+
+def bits(x):
+    return int(np.float64(x).view(np.int64))
+
+
+def slack(values, p):
+    """4 eps (1 + |p ln|s||) per point: the rounding of p ln|s| and of exp."""
+    log_a = np.log(np.maximum(np.abs(values), ZERO_CLIP))
+    return 4.0 * EPS * (1.0 + np.abs(p * log_a))
+
+
+def assert_close_sum(got, terms, weights):
+    # pairwise sums of two arrays that differ by the per-term slack: that
+    # slack summed, plus each sum's own rounding
+    ref = float(np.sum(terms))
+    assert (got == 0.0) == (ref == 0.0)
+    assert math.isfinite(got) == math.isfinite(ref)
+    if math.isfinite(ref):
+        bound = (float(np.sum(weights * np.abs(terms)))
+                 + 2.0 * terms.size * EPS * float(np.sum(np.abs(terms))))
+        assert abs(got - ref) <= bound
+
+
+class TestPointwiseKernel:
+    @settings(deadline=None, max_examples=300)
+    @given(values=st.lists(points, min_size=1, max_size=64), gamma=gammas)
+    @np.errstate(all="ignore")  # the drawn values overflow on purpose
+    def test_matches_replaced_formulas(self, values, gamma):
+        s = np.array(values)
+        before = s.copy()
+        got = source_eval(s, gamma)
+        ref = oracle_source(s, gamma)
+        lgamma, logterm = log_moments(s, 1.0, gamma)
+        pg, log_terms = oracle_moment_terms(s, gamma)
+        dual_terms = oracle_dual_terms(s, gamma)
+        assert np.array_equal(s.view(np.int64), before.view(np.int64))
+
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        p = gamma - 2.0
+        if p in (1.0, 2.0, 3.0, 4.0):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        else:
+            normal = np.isfinite(ref) & (np.abs(ref) >= np.finfo(float).tiny)
+            assert np.all(np.abs(got - ref)[normal]
+                          <= (slack(s, p) * np.abs(ref))[normal])
+
+        if gamma in (3.0, 4.0):
+            assert bits(lgamma) == bits(np.sum(pg))
+            assert bits(logterm) == bits(np.sum(log_terms))
+        else:
+            assert_close_sum(lgamma, pg, slack(s, gamma))
+            assert_close_sum(logterm, log_terms, slack(s, gamma))
+
+        # the dual norm's pointwise work, on the drawn values as its grid
+        dom = DomainSpec(1, np.pi, 4)
+        params = ModelParams(gamma, 1, unsafe_gamma=True)
+        q = gamma / (gamma - 1.0)
+        with mock.patch.object(functionals, "synthesize", lambda _dom, _c: s):
+            total = dom.quad_weight * float(np.sum(dual_terms))
+            if not math.isfinite(total):
+                with pytest.raises(ValueError):
+                    source_dual_norm(ModalField.zeros(dom), params)
+                return
+            got_norm = source_dual_norm(ModalField.zeros(dom), params)
+        ref_norm = total ** (1.0 / q)
+        if gamma in (3.0, 4.0, 5.0):
+            assert bits(got_norm) == bits(ref_norm)
+        else:
+            bound = float(np.max(slack(s, gamma - 1.0))) + 2.0 * s.size * EPS
+            assert abs(got_norm - ref_norm) <= bound * ref_norm
+
+    def test_scalar_in_float_out(self):
+        got = source_eval(math.e, 4.0)
+        assert type(got) is float
+        assert bits(got) == bits(oracle_source(np.array(math.e), 4.0))
+        got = source_eval(np.float64(-0.5), 5.5)
+        assert type(got) is float
+        assert got == pytest.approx(float(oracle_source(np.array(-0.5), 5.5)), rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [4.0, 5.0, 5.5])
+    def test_allocation_peak(self, gamma):
+        # two grid buffers and a mask: with more temporaries, every call at
+        # m=16 maps fresh pages from the operating system
+        dom = DomainSpec(3, np.pi, 16)
+        rng = np.random.default_rng(5)
+        values = synthesize(dom, rng.standard_normal(dom.modal_shape) * 0.05)
+        calls = (lambda: source_eval(values, gamma),
+                 lambda: log_moments(values, dom.quad_weight, gamma))
+        for call in calls:
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.25 * values.nbytes
