@@ -129,8 +129,8 @@ def _pow_log(s, p: float):
     The two float arrays are fresh and the input is left alone; callers
     multiply into them in place and zero the masked points of their
     product, where the power is unspecified.  Integer p from 1 to 4 is a
-    product of copies of |s|, which costs no transcendental and keeps
-    integer gamma exact to the last bit; any other p is exp(p ln|s|).
+    product of copies of |s|, cheaper and more accurate than a
+    transcendental; any other p is exp(p ln|s|).
     """
     a = np.abs(s, dtype=float)
     small = a < ZERO_CLIP
