@@ -205,16 +205,24 @@ class ModalField:
     __rmul__ = __mul__
 
 
-def synthesize(domain: DomainSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Evaluate modal coefficients on the quadrature grid (raw arrays)."""
+def synthesize(domain: DomainSpec, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate modal coefficients on the quadrature grid (raw arrays).
+
+    The last product is written into ``out``, a C-contiguous float array of
+    ``grid_shape`` (a fresh one when None), which is returned.
+    """
+    if out is None:
+        out = np.empty(domain.grid_shape)
     s = domain.synthesis_matrix
     if domain.dim == 1:
-        return s @ coeffs
+        return np.matmul(s, coeffs, out=out)
     x = coeffs @ s.T
     if domain.dim == 2:
-        return s @ x
+        return np.matmul(s, x, out=out)
     x = s @ x
-    return (s @ x.reshape(domain.modes_per_dim, -1)).reshape(domain.grid_shape)
+    np.matmul(s, x.reshape(domain.modes_per_dim, -1),
+              out=out.reshape(domain.grid_per_dim, -1))
+    return out
 
 
 def analyze(domain: DomainSpec, values: np.ndarray) -> np.ndarray:

@@ -14,11 +14,14 @@ synthesis so that E, J and I of one report are mutually consistent.
 All pointwise log work (the source, the two moments and the dual norm of
 the source) goes through one kernel, ``_pow_log``, which takes one log per
 grid point and builds |s|^p from it as exp(p ln|s|) unless p is an integer
-from 1 to 4.  Each call holds at most two grid-sized float arrays and
-multiplies into them in place: four or five temporaries per call leave
-more than the allocator's trim threshold free on a 32^3 grid, so that
-every call maps its pages anew from the operating system, which costs
-more than the arithmetic.
+from 1 to 4.  The kernel writes into two grid buffers and its callers
+multiply into them in place.  A fresh grid-sized array above the
+allocator's trim threshold (a 32^3 grid is 256 kB) is mapped anew from the
+operating system and trimmed back when freed, which costs more than the
+arithmetic; so ``energy`` and ``solver.step`` take a ``grid_workspace``
+(the synthesized field plus the kernel's two buffers) that
+``solver.integrate`` allocates once and reuses for every step and report.
+Without one they allocate it per call and run the same code.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ModalField, grad_norm_sq, l2_inner, l2_norm_sq, synthesize
+from .domain import DomainSpec, ModalField, grad_norm_sq, l2_inner, l2_norm_sq, synthesize
 
 # below this magnitude the integrand |u|^g ln|u| is taken as exactly zero,
 # avoiding log-underflow noise
@@ -123,40 +126,56 @@ CSV_COLUMNS = (
 )
 
 
-def _pow_log(s, p: float):
+def grid_workspace(domain: DomainSpec) -> tuple[np.ndarray, ...]:
+    """Three uninitialized grid arrays, the scratch of one step or report.
+
+    The first takes the synthesized field and the other two are the buffers
+    of ``_pow_log``.  Every array is written in full before it is read, so
+    what a previous call left in it never reaches a result.  The three are
+    views of one allocation, which glibc keeps on the heap between calls
+    (three separate 256 kB arrays at m=16 were trimmed and faulted in again
+    on every ``integrate`` call), handed out as a tuple: slicing the block
+    itself on every step cost 1.8 us, 3 % of a step at m=8.
+    """
+    return tuple(np.empty((3,) + domain.grid_shape))
+
+
+def _pow_log(s, p: float, work=None):
     """(|s|^p, ln max(|s|, ZERO_CLIP), |s| < ZERO_CLIP) from one log per point.
 
-    The two float arrays are fresh and the input is left alone; callers
-    multiply into them in place and zero the masked points of their
-    product, where the power is unspecified.  Integer p from 1 to 4 is a
-    product of copies of |s|, cheaper and more accurate than a
-    transcendental; any other p is exp(p ln|s|).
+    The log is written into ``work[0]`` and the power into ``work[1]``, two
+    float arrays of the shape of s; with ``work`` None the ufuncs allocate
+    them.  s itself is not written.  Callers multiply into the two arrays
+    in place and zero the masked points of their product, where the power
+    is unspecified.  Integer p from 1 to 4 is a product of copies of |s|,
+    cheaper and more accurate than a transcendental; any other p is
+    exp(p ln|s|).
     """
-    a = np.abs(s, dtype=float)
+    a_out, pw_out = (None, None) if work is None else work
+    a = np.abs(s, out=a_out, dtype=float)
     small = a < ZERO_CLIP
     if p == 1.0:
-        pw = a.copy()
+        pw = np.positive(a, out=pw_out)
     elif p in (2.0, 3.0, 4.0):
-        pw = a * a
+        pw = np.multiply(a, a, out=pw_out)
         if p == 3.0:
             pw *= a
         elif p == 4.0:
             pw *= pw
-    else:
-        pw = None
-    log_a = np.maximum(a, ZERO_CLIP, out=a)
-    np.log(log_a, out=log_a)
-    if pw is None:
-        pw = np.multiply(log_a, p)
+    np.maximum(a, ZERO_CLIP, out=a)
+    np.log(a, out=a)
+    if p not in (1.0, 2.0, 3.0, 4.0):
+        pw = np.multiply(a, p, out=pw_out)
         np.exp(pw, out=pw)
-    return pw, log_a, small
+    return pw, a, small
 
 
-def source_eval(s, gamma: float):
+def source_eval(s, gamma: float, work=None):
     """The scalar nonlinearity |s|^(gamma-2) s ln|s|, extended by 0 at s=0.
 
     Accepts scalars or arrays; odd in s.  The continuous extension at zero
-    is exact for gamma > 2.
+    is exact for gamma > 2.  An array result is ``work[1]`` when two
+    buffers are given (see ``_pow_log``), else a fresh array.
     """
     if gamma <= 2:
         raise ValueError(f"gamma must be > 2, got {gamma}")
@@ -164,16 +183,20 @@ def source_eval(s, gamma: float):
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
-    out, log_a, small = _pow_log(arr, gamma - 2.0)
+    out, log_a, small = _pow_log(arr, gamma - 2.0, work)
     out *= arr
     out *= log_a
     out[small] = 0.0
     return float(out[0]) if scalar else out
 
 
-def log_moments(values: np.ndarray, quad_weight: float, gamma: float) -> tuple[float, float]:
-    """Quadrature of (||u||_g^g, B(u)) from grid values of u."""
-    pg, log_a, small = _pow_log(values, gamma)
+def log_moments(values: np.ndarray, quad_weight: float, gamma: float,
+                work=None) -> tuple[float, float]:
+    """Quadrature of (||u||_g^g, B(u)) from grid values of u.
+
+    ``work`` is passed to ``_pow_log``.
+    """
+    pg, log_a, small = _pow_log(values, gamma, work)
     lgamma = quad_weight * float(np.sum(pg))
     log_a *= pg
     log_a[small] = 0.0
@@ -186,8 +209,12 @@ def _require_finite(f: ModalField, name: str):
         raise ValueError(f"{name} contains non-finite coefficients")
 
 
-def energy(u: ModalField, ut: ModalField, params: ModelParams) -> EnergyReport:
-    """Evaluate the full energy report of a state (ledger fields left zero)."""
+def energy(u: ModalField, ut: ModalField, params: ModelParams,
+           work: tuple[np.ndarray, ...] | None = None) -> EnergyReport:
+    """Evaluate the full energy report of a state (ledger fields left zero).
+
+    ``work`` is a ``grid_workspace`` of u's domain, allocated when None.
+    """
     if u.domain != ut.domain:
         raise ValueError("u and u_t live on different domains")
     _require_finite(u, "u")
@@ -197,8 +224,10 @@ def energy(u: ModalField, ut: ModalField, params: ModelParams) -> EnergyReport:
     cross = l2_inner(u, ut)
     g = params.gamma
     if params.source_enabled:
-        values = synthesize(u.domain, u.coeffs)
-        lgamma, logterm = log_moments(values, u.domain.quad_weight, g)
+        if work is None:
+            work = grid_workspace(u.domain)
+        values = synthesize(u.domain, u.coeffs, out=work[0])
+        lgamma, logterm = log_moments(values, u.domain.quad_weight, g, work[1:])
     else:
         lgamma = logterm = 0.0
     J = 0.5 * grad_sq - logterm / g + lgamma / g ** 2

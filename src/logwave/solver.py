@@ -20,7 +20,12 @@ the exact flow and is O(dt^2) for the scheme.
 
 The time loop runs on the raw coefficient arrays of u and u_t, with the last
 source, the ledger and the last ||grad u_t||^2 as locals; ``ModalField`` and
-``SimState`` are built only at reports and for the final state.
+``SimState`` are built only at reports and for the final state.  One grid
+workspace per ``integrate`` call (``functionals.grid_workspace``) takes the
+synthesized field and the pointwise log buffers of every step and every
+report, so the loop allocates no grid-sized array: at m=16 a 32^3 grid is
+256 kB, above the allocator's trim threshold, and fresh grid arrays were
+mapped anew from the operating system on every step.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import DomainSpec, ModalField, analyze, coeff_grad_norm_sq, synthesize
-from .functionals import EnergyReport, ModelParams, energy, source_eval
+from .functionals import EnergyReport, ModelParams, energy, grid_workspace, source_eval
 
 RUNNING = "RUNNING"
 COMPLETED = "COMPLETED"
@@ -112,19 +117,26 @@ def _trapezoid(domain: DomainSpec, dt: float) -> tuple[np.ndarray, ...]:
 
 
 def step(domain: DomainSpec, a: np.ndarray, b: np.ndarray, f_prev: np.ndarray | None,
-         cfg: SolverConfig, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+         cfg: SolverConfig, params: ModelParams,
+         work: tuple[np.ndarray, ...] | None = None,
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Advance the coefficients (a, b) of (u, u_t) by one time step.
 
     ``f_prev`` is the source of the previous step (None before the first);
     the returned ``f_now`` is the source at ``a``, None with the source off.
+    ``work`` is a ``grid_workspace`` of the domain, allocated when None; the
+    returned arrays are fresh.
     """
     aa, ab, af, ba, bb, bf = _trapezoid(domain, cfg.dt)
     a_new = aa * a + ab * b
     b_new = ba * a + bb * b
     if not params.source_enabled:
         return a_new, b_new, None
+    if work is None:
+        work = grid_workspace(domain)
     # the modal projection F = P_band f(u) of the source in the eigenbasis
-    f_now = analyze(domain, source_eval(synthesize(domain, a), params.gamma))
+    u = synthesize(domain, a, out=work[0])
+    f_now = analyze(domain, source_eval(u, params.gamma, work[1:]))
     if cfg.scheme == "IMEX2" and f_prev is not None:
         f_star = 1.5 * f_now - 0.5 * f_prev
     else:
@@ -152,7 +164,8 @@ def integrate(
         raise ValueError("u0 and u1 live on different domains")
     dom = u0.domain
     state = SimState(u=u0, ut=u1)
-    rep0 = energy(u0, u1, params)
+    work = grid_workspace(dom)
+    rep0 = energy(u0, u1, params, work)
     reports = [rep0]
     states = [state] if store_states else None
 
@@ -160,7 +173,7 @@ def integrate(
     grad_ut_sq = coeff_grad_norm_sq(dom, b)
     n_steps = round(cfg.t_end / cfg.dt)
     for n in range(1, n_steps + 1):
-        a, b, f = step(dom, a, b, f, cfg, params)
+        a, b, f = step(dom, a, b, f, cfg, params, work)
         grad_ut_prev, grad_ut_sq = grad_ut_sq, coeff_grad_norm_sq(dom, b)
         damp += 0.5 * cfg.dt * (grad_ut_prev + grad_ut_sq)
         status = blowup_scan(dom, a, b, cfg.blowup_threshold)
@@ -170,7 +183,7 @@ def integrate(
         if status == BLOWUP:
             return IntegrationResult(reports=reports, final=state, status=BLOWUP,
                                      t_max=state.t, states=states)
-        rep = energy(state.u, state.ut, params)
+        rep = energy(state.u, state.ut, params, work)
         reports.append(replace(rep, t=state.t, damping_integral=damp,
                                identity_residual=rep.E + damp - rep0.E))
         if states is not None:

@@ -1,8 +1,18 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logwave
 from logwave.analysis import CHECKS, CheckInput
 from logwave.domain import (
     DomainSpec,
@@ -12,7 +22,7 @@ from logwave.domain import (
     random_band_limited,
     synthesize,
 )
-from logwave.functionals import ModelParams, source_eval
+from logwave.functionals import ModelParams, energy, grid_workspace, source_eval
 from logwave.solver import (
     BLOWUP,
     COMPLETED,
@@ -263,6 +273,105 @@ class TestIntegrate:
         assert reports[0].t == 0.0
         dts = np.diff([r.t for r in reports])
         assert np.allclose(dts, 0.01, rtol=1e-9)
+
+
+class TestWorkspace:
+    """One grid workspace per integrate call, reused by every step and report."""
+
+    @staticmethod
+    def state(dom, seed=5, amplitude=0.05):
+        rng = np.random.default_rng(seed)
+        return (amplitude * rng.standard_normal(dom.modal_shape),
+                amplitude * rng.standard_normal(dom.modal_shape))
+
+    @pytest.mark.parametrize("gamma", [4.0, 5.5])
+    def test_allocation_per_step_and_report(self, gamma):
+        # at m=16 a fresh grid array is mapped anew from the operating system
+        # on every call; given the workspace, a step allocates about the
+        # transforms' intermediates and a report less than one grid
+        dom = DomainSpec(3, np.pi, 16)
+        params = ModelParams(gamma, 3)
+        cfg = SolverConfig(dt=1e-3)
+        a, b = self.state(dom)
+        work = grid_workspace(dom)
+        f = step(dom, a, b, None, cfg, params, work)[2]
+        u, ut = ModalField(dom, a), ModalField(dom, b)
+        calls = ((lambda: step(dom, a, b, f, cfg, params, work), 1.1),
+                 (lambda: energy(u, ut, params, work), 0.8))
+        for call, grids in calls:
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= grids * work[0].nbytes
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("source", [True, False])
+    def test_stale_workspace_changes_no_bit(self, dim, scheme, source):
+        dom = DomainSpec(dim, np.pi, 4)
+        params = ModelParams(5.5, dim, unsafe_gamma=True, source_enabled=source)
+        cfg = SolverConfig(dt=1e-2, scheme=scheme)
+        a, b = self.state(dom, seed=dim, amplitude=0.5)
+        work = grid_workspace(dom)
+
+        def stale():
+            for w in work:
+                w.fill(np.nan)
+            return work
+
+        def same_bits(x, y):
+            return x is y or np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+        f_fresh = f_stale = None
+        for _ in range(2):
+            fresh = step(dom, a, b, f_fresh, cfg, params)
+            got = step(dom, a, b, f_stale, cfg, params, stale())
+            assert all(same_bits(x, y) for x, y in zip(got, fresh))
+            assert not any(np.shares_memory(x, w) for x in got if x is not None for w in work)
+            (a, b, f_fresh), f_stale = fresh, got[2]
+
+        u, ut = ModalField(dom, a), ModalField(dom, b)
+        assert same_bits(np.array(astuple(energy(u, ut, params, stale()))),
+                         np.array(astuple(energy(u, ut, params))))
+        out = stale()[0]
+        assert synthesize(dom, a, out=out) is out
+        assert same_bits(out, synthesize(dom, a))
+
+    @pytest.mark.skipif(not (sys.platform.startswith("linux")
+                             and platform.libc_ver()[0] == "glibc"),
+                        reason="fault counts are those of glibc's allocator on Linux")
+    def test_loop_maps_no_fresh_pages(self):
+        # a fresh interpreter, because earlier tests can leave glibc's dynamic
+        # mmap threshold high enough that fresh grid arrays never fault either;
+        # the first call frees an mmapped workspace, which raises the
+        # threshold, so the second carves the workspace from the heap once
+        probe = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from logwave.domain import DomainSpec, ModalField
+            from logwave.functionals import ModelParams
+            from logwave.solver import SolverConfig, integrate
+            dom = DomainSpec(3, np.pi, 16)
+            rng = np.random.default_rng(5)
+            u0, u1 = (ModalField(dom, 0.05 * rng.standard_normal(dom.modal_shape))
+                      for _ in range(2))
+            cfg = SolverConfig(dt=1e-3, t_end=0.05, report_every=10)
+            for _ in range(2):
+                integrate(u0, u1, cfg, ModelParams(4.0, 3))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            integrate(u0, u1, cfg, ModelParams(4.0, 3))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = str(Path(logwave.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) / 50 < 1.0
 
 
 class TestSolverConfig:
