@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logwave
+from logwave import functionals, solver
 from logwave.analysis import CHECKS, CheckInput
 from logwave.domain import (
     DomainSpec,
@@ -307,6 +308,22 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
             assert peak <= grids * work[0].nbytes
+
+    def test_integrate_allocates_one_workspace(self, monkeypatch):
+        made = []
+
+        def counted(domain):
+            made.append(domain)
+            return grid_workspace(domain)
+
+        monkeypatch.setattr(solver, "grid_workspace", counted)
+        monkeypatch.setattr(functionals, "grid_workspace", counted)
+        dom = DomainSpec(3, np.pi, 4)
+        a, b = self.state(dom)
+        result = integrate(ModalField(dom, a), ModalField(dom, b),
+                           SolverConfig(dt=1e-3, t_end=0.02, report_every=5), PARAMS)
+        assert len(result.reports) == 5
+        assert made == [dom]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("scheme", SCHEMES)
