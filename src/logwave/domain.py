@@ -239,7 +239,7 @@ def analyze(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
 
 def coeff_grad_norm_sq(domain: DomainSpec, coeffs: np.ndarray) -> float:
     """||grad u||_2^2 of raw modal coefficients as the exact modal sum."""
-    return float(np.sum(domain.eigenvalues * coeffs ** 2) * domain.mode_norm_sq)
+    return float((domain.eigenvalues * coeffs ** 2).sum() * domain.mode_norm_sq)
 
 
 def grad_norm_sq(f: ModalField) -> float:
@@ -249,14 +249,14 @@ def grad_norm_sq(f: ModalField) -> float:
 
 def l2_norm_sq(f: ModalField) -> float:
     """||u||_2^2 as the exact modal sum (Parseval)."""
-    return float(np.sum(f.coeffs ** 2) * f.domain.mode_norm_sq)
+    return float((f.coeffs ** 2).sum() * f.domain.mode_norm_sq)
 
 
 def l2_inner(f: ModalField, g: ModalField) -> float:
     """Inner product (f, g), exact on the modal band."""
     if f.domain != g.domain:
         raise ValueError("fields live on different domains")
-    return float(np.sum(f.coeffs * g.coeffs) * f.domain.mode_norm_sq)
+    return float((f.coeffs * g.coeffs).sum() * f.domain.mode_norm_sq)
 
 
 def lp_norm(f: ModalField, p: float) -> float:

@@ -197,10 +197,10 @@ def log_moments(values: np.ndarray, quad_weight: float, gamma: float,
     ``work`` is passed to ``_pow_log``.
     """
     pg, log_a, small = _pow_log(values, gamma, work)
-    lgamma = quad_weight * float(np.sum(pg))
+    lgamma = quad_weight * float(pg.sum())
     log_a *= pg
     log_a[small] = 0.0
-    logterm = quad_weight * float(np.sum(log_a))
+    logterm = quad_weight * float(log_a.sum())
     return lgamma, logterm
 
 

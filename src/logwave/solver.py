@@ -20,7 +20,12 @@ the exact flow and is O(dt^2) for the scheme.
 
 The time loop runs on the raw coefficient arrays of u and u_t, with the last
 source, the ledger and the last ||grad u_t||^2 as locals; ``ModalField`` and
-``SimState`` are built only at reports and for the final state.  One grid
+``SimState`` are built only at reports and for the final state.  The blow-up
+scan decides from ||grad u||^2 and ||grad u_t||^2, which the loop computes
+once per step (the second feeds the ledger).  A sum of non-negative terms is
+finite only when every coefficient is, so the two ``isfinite`` passes run
+only once a norm is not finite: at m=8 the loop is bound by the cost of each
+NumPy call, not by arithmetic.  One grid
 workspace per ``integrate`` call (``functionals.grid_workspace``) takes the
 synthesized field and the pointwise log buffers of every step and every
 report, so the loop allocates no grid-sized array: at m=16 a 32^3 grid is
@@ -86,12 +91,21 @@ class IntegrationResult:
     states: list[SimState] | None = None
 
 
-def blowup_scan(domain: DomainSpec, a: np.ndarray, b: np.ndarray, threshold: float) -> str:
-    """BLOWUP iff a coefficient is non-finite or ||grad u||_2 exceeds threshold."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return BLOWUP
+def blowup_scan(a: np.ndarray, b: np.ndarray, grad_sq: float, grad_ut_sq: float,
+                threshold: float) -> str:
+    """BLOWUP iff a coefficient is non-finite or ||grad u||_2 exceeds threshold.
+
+    ``grad_sq`` and ``grad_ut_sq`` are ``coeff_grad_norm_sq`` of a and b.
+    Their terms are non-negative and the eigenvalues positive, so a sum is
+    finite only when every coefficient is; the two ``isfinite`` passes run
+    only when a sum is not, to tell a non-finite coefficient from a sum of
+    finite ones that overflowed.
+    """
+    if not (math.isfinite(grad_sq) and math.isfinite(grad_ut_sq)):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            return BLOWUP
     # a float product saturates to inf where ** raises OverflowError
-    if coeff_grad_norm_sq(domain, a) > threshold * threshold:
+    if grad_sq > threshold * threshold:
         return BLOWUP
     return RUNNING
 
@@ -176,7 +190,8 @@ def integrate(
         a, b, f = step(dom, a, b, f, cfg, params, work)
         grad_ut_prev, grad_ut_sq = grad_ut_sq, coeff_grad_norm_sq(dom, b)
         damp += 0.5 * cfg.dt * (grad_ut_prev + grad_ut_sq)
-        status = blowup_scan(dom, a, b, cfg.blowup_threshold)
+        status = blowup_scan(a, b, coeff_grad_norm_sq(dom, a), grad_ut_sq,
+                             cfg.blowup_threshold)
         if status == RUNNING and n % cfg.report_every and n != n_steps:
             continue
         state = SimState(ModalField(dom, a), ModalField(dom, b), n * cfg.dt, damp)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainSpec, ModalField, grad_norm_sq, random_band_limited, synthesize
-from .functionals import ModelParams, energy, log_moments
+from .functionals import ModelParams, energy, grid_workspace, log_moments
 
 
 class DegenerateFieldError(ValueError):
@@ -94,18 +94,33 @@ class StableSetVerdict:
     trivial_zero: bool = False
 
 
-def fiber_moments(u: ModalField, params: ModelParams) -> FiberMoments:
+def fiber_moments(u: ModalField, params: ModelParams,
+                  work: tuple[np.ndarray, ...] | None = None) -> FiberMoments:
+    """The moments (A, B, G) of u.
+
+    ``work`` is a ``grid_workspace`` of u's domain, allocated when None: the
+    field is synthesized into ``work[0]`` and the log kernel writes into the
+    other two.
+    """
     A = grad_norm_sq(u)
-    values = synthesize(u.domain, u.coeffs)
-    G, B = log_moments(values, u.domain.quad_weight, params.gamma)
+    if work is None:
+        work = grid_workspace(u.domain)
+    values = synthesize(u.domain, u.coeffs, out=work[0])
+    G, B = log_moments(values, u.domain.quad_weight, params.gamma, work[1:])
     return FiberMoments(A=A, B=B, G=G)
+
+
+def _positive_lambda(lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    # min and max are NaN when any entry is, and NaN fails every comparison
+    if not 0.0 < lam.min() <= lam.max() < math.inf:
+        raise ValueError("lambda must be positive and finite")
+    return lam
 
 
 def fiber_J(m: FiberMoments, lam, gamma: float):
     """J(lambda u) from precomputed moments; lambda may be an array."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("lambda must be positive")
+    lam = _positive_lambda(lam)
     lg = lam ** gamma
     out = lam ** 2 * m.A / 2.0 - lg * (m.B + m.G * np.log(lam)) / gamma + lg * m.G / gamma ** 2
     return float(out) if out.ndim == 0 else out
@@ -113,9 +128,7 @@ def fiber_J(m: FiberMoments, lam, gamma: float):
 
 def fiber_I(m: FiberMoments, lam, gamma: float):
     """I(lambda u) from precomputed moments; lambda may be an array."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("lambda must be positive")
+    lam = _positive_lambda(lam)
     out = lam ** 2 * m.A - lam ** gamma * (m.B + m.G * np.log(lam))
     return float(out) if out.ndim == 0 else out
 
@@ -152,14 +165,16 @@ def _project_moments(m: FiberMoments, gamma: float) -> tuple[float, float]:
     return lambda_star, fiber_J(m, lambda_star, gamma)
 
 
-def project_to_nehari(u: ModalField, params: ModelParams) -> tuple[float, float]:
+def project_to_nehari(u: ModalField, params: ModelParams,
+                      work: tuple[np.ndarray, ...] | None = None) -> tuple[float, float]:
     """Global maximizer lambda* of the fibering map and J(lambda* u).
 
     lambda* is the closed-form root of the module docstring, so
     fiber_I(lambda*) vanishes to roundoff at every scale of u; J at the
-    maximizer is positive for every nonzero field.
+    maximizer is positive for every nonzero field.  ``work`` is passed to
+    ``fiber_moments``.
     """
-    return _project_moments(fiber_moments(u, params), params.gamma)
+    return _project_moments(fiber_moments(u, params, work), params.gamma)
 
 
 def default_trial_family(
@@ -190,9 +205,13 @@ def estimate_depth(
         labels = [f"trial-{i:02d}" for i in range(len(trials))]
     if len(labels) != len(trials):
         raise ValueError("labels must match trials one to one")
+    domain = trials[0].domain
+    if any(trial.domain != domain for trial in trials):
+        raise ValueError("trials live on different domains")
+    work = grid_workspace(domain)
     rows = []
     for label, trial in zip(labels, trials):
-        lambda_star, j_max = project_to_nehari(trial, params)
+        lambda_star, j_max = project_to_nehari(trial, params, work)
         if not j_max > 0:
             raise DegenerateFieldError(f"trial {label}: nonpositive fibering supremum")
         rows.append((label, lambda_star, j_max))

@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import subprocess
@@ -6,6 +7,7 @@ import textwrap
 import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from logwave.domain import (
     DomainSpec,
     ModalField,
     analyze,
+    coeff_grad_norm_sq,
     grad_norm_sq,
     random_band_limited,
     synthesize,
@@ -43,6 +46,11 @@ def measure(name, dom, result, verdict=None):
     """The check table's measure of one check on a trajectory."""
     row = next(c for c in CHECKS if c.name == name)
     return row.measure(CheckInput(result.reports, dom, PARAMS, verdict))
+
+
+def scan(dom, a, b, threshold):
+    """``blowup_scan`` given the two gradient norms that the loop computes."""
+    return blowup_scan(a, b, coeff_grad_norm_sq(dom, a), coeff_grad_norm_sq(dom, b), threshold)
 
 
 def params_1d(gamma=4.0, source=True):
@@ -144,17 +152,65 @@ class TestBlowupScan:
     def test_zero_running(self):
         dom = DomainSpec(3, np.pi, 4)
         zero = np.zeros(dom.modal_shape)
-        assert blowup_scan(dom, zero, zero, 1e8) == RUNNING
+        assert scan(dom, zero, zero, 1e8) == RUNNING
 
     def test_non_finite_flags(self):
         dom = DomainSpec(1, np.pi, 4)
         bad = np.array([np.inf, 0.0, 0.0, 0.0])
-        assert blowup_scan(dom, bad, np.zeros(4), 1e8) == BLOWUP
+        assert scan(dom, bad, np.zeros(4), 1e8) == BLOWUP
 
     def test_threshold_flags(self):
         dom = DomainSpec(1, np.pi, 4)
         big = ModalField.eigenmode(dom, (1,), 1e9).coeffs
-        assert blowup_scan(dom, big, np.zeros(4), 1e8) == BLOWUP
+        assert scan(dom, big, np.zeros(4), 1e8) == BLOWUP
+
+    def test_overflowing_velocity_norm_runs(self):
+        # finite coefficients whose ||grad u_t||^2 overflows are no blow-up
+        dom = DomainSpec(1, np.pi, 4)
+        huge = np.full(4, 1e160)
+        with np.errstate(over="ignore"):
+            assert coeff_grad_norm_sq(dom, huge) == np.inf
+            assert scan(dom, np.zeros(4), huge, 1e8) == RUNNING
+
+    @staticmethod
+    def isfinite_then_norm(dom, a, b, threshold):
+        """The scan before it took the norms: two isfinite passes, then ||grad u||^2."""
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            return BLOWUP
+        if coeff_grad_norm_sq(dom, a) > threshold * threshold:
+            return BLOWUP
+        return RUNNING
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), dim=st.integers(1, 3), m=st.integers(1, 3),
+           threshold=st.sampled_from([10.0, 1e8]), ulps=st.integers(-3, 3),
+           at_threshold=st.booleans())
+    def test_matches_isfinite_then_norm(self, data, dim, m, threshold, ulps, at_threshold):
+        dom = DomainSpec(dim, np.pi, m)
+        n = m ** dim
+
+        def coeffs():
+            # finite entries, up to two of them replaced by NaN, +-inf or a
+            # finite value whose square overflows
+            c = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+            for i in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
+                c[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e160, -1e160]))
+            return c.reshape(dom.modal_shape)
+
+        a, b = coeffs(), coeffs()
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_sq = coeff_grad_norm_sq(dom, a)
+            if at_threshold and 0.0 < grad_sq < np.inf:
+                # ||grad u|| within a few ulps of the threshold, either side
+                a *= threshold / math.sqrt(grad_sq) * (1.0 + ulps * 2.0 ** -52)
+                grad_sq = coeff_grad_norm_sq(dom, a)
+            grad_ut_sq = coeff_grad_norm_sq(dom, b)
+            expected = self.isfinite_then_norm(dom, a, b, threshold)
+        with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+            got = blowup_scan(a, b, grad_sq, grad_ut_sq, threshold)
+        assert got == expected
+        if math.isfinite(grad_sq) and math.isfinite(grad_ut_sq):
+            assert isfinite.call_count == 0
 
     def test_unstable_large_amplitude_blows_up(self):
         # I(u0) < 0 and E(0) far above any well-depth estimate
@@ -245,7 +301,7 @@ class TestIntegrate:
             damp += 0.5 * dt * (grad_norm_sq(ModalField(dom, b))
                                 + grad_norm_sq(ModalField(dom, b_new)))
             a, b = a_new, b_new
-            if blowup_scan(dom, a, b, cfg.blowup_threshold) == BLOWUP:
+            if scan(dom, a, b, cfg.blowup_threshold) == BLOWUP:
                 status = BLOWUP
                 break
             if n % report_every == 0 or n == n_steps:

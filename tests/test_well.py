@@ -1,12 +1,15 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logwave import functionals, well
 from logwave.domain import DomainSpec, ModalField, random_band_limited
-from logwave.functionals import ModelParams
+from logwave.functionals import ModelParams, grid_workspace
 from logwave.well import (
     DegenerateFieldError,
     FiberMoments,
@@ -125,6 +128,18 @@ class TestFiberMaps:
         with pytest.raises(ValueError):
             fiber_I(m, -1.0, 4.0)
 
+    @pytest.mark.parametrize("fiber", [fiber_J, fiber_I])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_positive_finite_lambda_required(self, fiber, bad, as_array):
+        # a NaN or infinite lambda is refused before any arithmetic warns
+        m = FiberMoments(A=1.0, B=1.0, G=1.0)
+        lam = np.array([1.0, bad, 2.0]) if as_array else bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                fiber(m, lam, 4.0)
+
     def test_derivative_consistency(self):
         # lambda dJ/dlambda = I on a log grid, by central differences
         m = FiberMoments(A=2.3, B=-0.4, G=1.7)
@@ -241,6 +256,41 @@ class TestEstimateDepth:
             est = estimate_depth(trials[:n], PARAMS, labels=labels[:n])
             assert est.d_hat <= prev + 1e-15
             prev = est.d_hat
+
+    def test_allocates_one_workspace(self, monkeypatch):
+        made = []
+
+        def counted(domain):
+            made.append(domain)
+            return grid_workspace(domain)
+
+        monkeypatch.setattr(well, "grid_workspace", counted)
+        monkeypatch.setattr(functionals, "grid_workspace", counted)
+        dom = DomainSpec(3, np.pi, 4)
+        trials, labels = default_trial_family(dom, count=4, seed=2)
+        est = estimate_depth(trials, PARAMS, labels=labels)
+        assert len(est.trials) == 5
+        assert made == [dom]
+
+    @pytest.mark.parametrize("gamma", [4.0, 5.5])
+    def test_stale_workspace_changes_no_bit(self, gamma):
+        dom = DomainSpec(3, np.pi, 4)
+        params = ModelParams(gamma, 3)
+        u = random_band_limited(dom, np.random.default_rng(3))
+        work = grid_workspace(dom)
+
+        def bits(x):
+            return np.array(astuple(x) if isinstance(x, FiberMoments) else x).tobytes()
+
+        for call in (fiber_moments, project_to_nehari):
+            for w in work:
+                w.fill(np.nan)
+            assert bits(call(u, params, work)) == bits(call(u, params))
+
+    def test_trials_on_different_domains_rejected(self):
+        trials = [ModalField.eigenmode(DomainSpec(3, np.pi, m), (1, 1, 1)) for m in (4, 5)]
+        with pytest.raises(ValueError, match="different domains"):
+            estimate_depth(trials, PARAMS)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
