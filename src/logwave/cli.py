@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import continuous_dependence, convergence_study, mandatory_ok, run_checks
-from .domain import DomainSpec, ModalField, grad_norm_sq, random_band_limited
+from .domain import DomainSpec, ModalField, grad_norm_sq, l2_norm_sq, random_band_limited
 from .functionals import CSV_COLUMNS, EnergyReport, ModelParams, source_dual_norm
 from .solver import BLOWUP, COMPLETED, SolverConfig, integrate
 from .well import DegenerateFieldError, default_trial_family, estimate_depth, stable_set_check
@@ -291,8 +291,14 @@ def build_initial(cfg: RunConfig) -> tuple[ModalField, ModalField]:
         u0 = ModalField(dom, arrays["u0"] * spec.amplitude)
         if "u1" in arrays:
             u1 = ModalField(dom, arrays["u1"])
-    if not u0.is_finite:
-        raise ConfigError(f"'initial.amplitude' ({spec.amplitude:g}) gives non-finite initial data")
+    for name, f in (("u0", u0), ("u1", u1)):
+        # finite coefficients can still have norms that overflow
+        with np.errstate(over="ignore"):
+            finite = math.isfinite(l2_norm_sq(f)) and math.isfinite(grad_norm_sq(f))
+        if not finite:
+            where = (f"'initial.path' ({spec.path}): '{name}'" if spec.type == "file"
+                     else f"'initial.amplitude' ({spec.amplitude:g})")
+            raise ConfigError(f"{where} gives initial data out of floating-point range")
     return u0, u1
 
 
@@ -366,11 +372,25 @@ def _out_paths(cfg: RunConfig, out_dir: Path) -> tuple[Path, Path]:
     return out_dir / cfg.outputs.csv_path, out_dir / cfg.outputs.json_path
 
 
-def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    csv_path, json_path = _out_paths(cfg, out_dir)
+def _well_depth(cfg: RunConfig) -> dict:
+    """Estimate the well depth over the configured trial family, as the
+    ``{d_hat, safety, trials}`` block of the summary."""
     trials, labels = default_trial_family(cfg.domain, cfg.well.trial_count,
                                           cfg.well.seed)
     depth = estimate_depth(trials, cfg.model, cfg.well.safety, labels)
+    return {
+        "d_hat": depth.d_hat,
+        "safety": depth.safety,
+        "trials": [
+            {"label": lab, "lambda_star": ls, "j_max": jm}
+            for lab, ls, jm in depth.trials
+        ],
+    }
+
+
+def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+    csv_path, json_path = _out_paths(cfg, out_dir)
+    depth = _well_depth(cfg)
     u0, u1 = build_initial(cfg)
     # before the stable-set test, whose energy would overflow (with warnings)
     # on the same data
@@ -381,9 +401,9 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
             f"'initial.amplitude' ({cfg.initial.amplitude:g}) puts the initial "
             f"source out of floating-point range: {exc}"
         ) from exc
-    verdict = stable_set_check(u0, u1, depth.d_hat, cfg.well.safety, cfg.model)
+    verdict = stable_set_check(u0, u1, depth["d_hat"], cfg.well.safety, cfg.model)
     if not quiet:
-        print(f"well depth estimate d_hat={depth.d_hat:.6g} "
+        print(f"well depth estimate d_hat={depth['d_hat']:.6g} "
               f"(threshold {verdict.threshold:.6g}); stable set: {verdict.status}")
 
     result = integrate(u0, u1, cfg.solver, cfg.model)
@@ -391,14 +411,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         "command": "run",
         "status": result.status,
         "t_max": result.t_max,
-        "well_depth": {
-            "d_hat": depth.d_hat,
-            "safety": depth.safety,
-            "trials": [
-                {"label": lab, "lambda_star": ls, "j_max": jm}
-                for lab, ls, jm in depth.trials
-            ],
-        },
+        "well_depth": depth,
         "stable_set": asdict(verdict),
         "E0": result.reports[0].E,
         "E_end": result.reports[-1].E,
@@ -431,20 +444,10 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
 def cmd_welldepth(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     _, json_path = _out_paths(cfg, out_dir)
-    trials, labels = default_trial_family(cfg.domain, cfg.well.trial_count,
-                                          cfg.well.seed)
-    depth = estimate_depth(trials, cfg.model, cfg.well.safety, labels)
-    write_json(json_path, {
-        "command": "welldepth",
-        "d_hat": depth.d_hat,
-        "safety": depth.safety,
-        "trials": [
-            {"label": lab, "lambda_star": ls, "j_max": jm}
-            for lab, ls, jm in depth.trials
-        ],
-    })
+    depth = _well_depth(cfg)
+    write_json(json_path, {"command": "welldepth", **depth})
     if not quiet:
-        print(f"d_hat={depth.d_hat:.12g} over {len(depth.trials)} trials; wrote {json_path}")
+        print(f"d_hat={depth['d_hat']:.12g} over {len(depth['trials'])} trials; wrote {json_path}")
     return EXIT_OK
 
 

@@ -240,14 +240,8 @@ def energy(u: ModalField, ut: ModalField, params: ModelParams,
 
 
 def nehari_I(u: ModalField, params: ModelParams) -> float:
-    """I(u) = ||grad u||_2^2 - B(u)."""
-    _require_finite(u, "u")
-    grad_sq = grad_norm_sq(u)
-    if not params.source_enabled:
-        return grad_sq
-    values = synthesize(u.domain, u.coeffs)
-    _, logterm = log_moments(values, u.domain.quad_weight, params.gamma)
-    return grad_sq - logterm
+    """I(u) = ||grad u||_2^2 - B(u), the I of ``energy`` at zero velocity."""
+    return energy(u, ModalField.zeros(u.domain), params).I
 
 
 def uniform_bound_constant(gamma: float) -> float:

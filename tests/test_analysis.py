@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logwave import analysis
 from logwave.analysis import (
@@ -122,6 +124,39 @@ class TestVirialIdentity:
         reports = synthetic_reports(ts, np.ones_like(ts), cross_term=float("nan"))
         with pytest.raises(ValueError):
             check_virial_identity(reports)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), n=st.integers(2, 60))
+    def test_closed_form_is_worst_interval(self, data, n):
+        # oracle: the trapezoid identity on each interval [t_i, t_j], i < j
+        def column(lo, hi):
+            return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+        t = np.cumsum(column(1e-3, 1.0))
+        I, kin, cross, grad = column(-1e3, 1e3), column(0.0, 1e3), column(-1e3, 1e3), column(0.0, 1e3)
+        e0 = data.draw(st.floats(1e-3, 1e3))
+        reports = [EnergyReport(t=t[k], E=e0 if k == 0 else 0.0, J=0.0, I=I[k], kinetic=kin[k],
+                                grad_sq=grad[k], lgamma=0.0, logterm=0.0, cross_term=cross[k])
+                   for k in range(n)]
+        bracket = cross + 0.5 * grad
+        worst = max(abs(np.trapezoid(I[i:j + 1], t[i:j + 1])
+                        - np.trapezoid(2.0 * kin[i:j + 1], t[i:j + 1])
+                        + bracket[j] - bracket[i])
+                    for i in range(n) for j in range(i + 1, n))
+        # both sides sum at most n + 2 terms, none larger than this scale
+        scale = (np.sum(np.diff(t) * (np.abs(I) + 2.0 * kin)[1:])
+                 + np.sum(np.diff(t) * (np.abs(I) + 2.0 * kin)[:-1])
+                 + np.max(np.abs(bracket)))
+        slack = 8.0 * (n + 2) * np.finfo(float).eps * scale / e0
+        assert abs(check_virial_identity(reports) - worst / e0) <= slack
+
+    def test_early_transient_is_found(self):
+        # I is out of balance only on [t_0, t_2]: every interval that starts
+        # at t_0 or t_1 violates the identity and no other interval does
+        ts = np.linspace(0.0, 1.0, 50)
+        reports = synthetic_reports(ts, np.ones_like(ts))
+        reports[:2] = [replace(r, I=0.49) for r in reports[:2]]
+        assert check_virial_identity(reports) == pytest.approx(1.5 * 0.49 / 49, rel=1e-12)
+        assert check_virial_identity(reports) > 1e-3
 
     def test_linear_self_convergence(self, linear_runs):
         res = {dt: check_virial_identity(r.reports) for dt, r in linear_runs.items()}

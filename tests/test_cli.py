@@ -188,6 +188,25 @@ class TestBuildInitial:
             build_initial(parse_config((tmp_path / "config.json").read_text()))
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("source_enabled", [True, False])
+    @pytest.mark.parametrize("command", ["run", "converge", "depend"])
+    def test_from_file_overflowing_norm(self, tmp_path, capsys, command, source_enabled):
+        # every coefficient is finite, but ||u_t||^2 overflows
+        u0 = np.zeros((4, 4, 4))
+        u0[0, 0, 0] = 0.05
+        npz = tmp_path / "init.npz"
+        np.savez(npz, u0=u0, u1=np.full((4, 4, 4), 1e155))
+        cfg = fast_run_config(tmp_path, initial={"type": "file", "path": str(npz)},
+                              model={"source_enabled": source_enabled})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
+        assert code == EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: 'initial.path' ({npz}): 'u1'")
+        assert err.count("\n") == 1
+
     def test_from_missing_file(self, tmp_path):
         cfg = fast_run_config(tmp_path, initial={"type": "file",
                                                  "path": str(tmp_path / "absent.npz")})
