@@ -121,12 +121,19 @@ def fit_decay(
     )
 
 
+def _energy_scale(reports: list[EnergyReport]) -> float:
+    """max(E(0), 1e-30), or NaN when E(0) is not finite so that every check
+    measured relative to it fails."""
+    e0 = reports[0].E
+    return max(e0, 1e-30) if math.isfinite(e0) else math.nan
+
+
 def check_energy_identity(reports: list[EnergyReport]) -> float:
-    """Max |E(t) + dissipation ledger - E(0)| normalized by max(E(0), 1e-30)."""
+    """Max |E(t) + dissipation ledger - E(0)| relative to ``_energy_scale``."""
     if not reports:
         raise ValueError("empty trajectory")
     res = max(abs(r.identity_residual) for r in reports)
-    return res / max(reports[0].E, 1e-30)
+    return res / _energy_scale(reports)
 
 
 def check_virial_identity(reports: list[EnergyReport]) -> float:
@@ -141,7 +148,7 @@ def check_virial_identity(reports: list[EnergyReport]) -> float:
     g = I - ||u_t||^2 (C = 0 at the first report) and
     F = C + (u_t, u) + 1/2 ||grad u||^2, the residual on [t_i, t_j] is
     exactly F_j - F_i, so the worst interval reads max F - min F.  Returns
-    that normalized by max(E(0), 1e-30).
+    that relative to ``_energy_scale``.
     """
     if len(reports) < 2:
         raise ValueError("need at least two reports")
@@ -151,7 +158,7 @@ def check_virial_identity(reports: list[EnergyReport]) -> float:
     g = c["I"] - 2.0 * c["kinetic"]
     F = np.concatenate(([0.0], np.cumsum(np.diff(c["t"]) * (g[1:] + g[:-1]) / 2.0)))
     F += c["cross_term"] + 0.5 * c["grad_sq"]
-    return float(F.max() - F.min()) / max(reports[0].E, 1e-30)
+    return float(F.max() - F.min()) / _energy_scale(reports)
 
 
 def check_integral_bound(
@@ -223,7 +230,7 @@ class CheckInput:
 
     @property
     def e_scale(self) -> float:
-        return max(self.reports[0].E, 1e-30)
+        return _energy_scale(self.reports)
 
     @cached_property
     def suite(self) -> EstimateSuite:
@@ -257,7 +264,7 @@ def _finite(measured: float, _tolerance: None) -> bool:
 
 def _max_energy_rise(run: CheckInput) -> float:
     rises = np.diff([r.E for r in run.reports])
-    return float(np.max(rises)) / run.e_scale if rises.size else 0.0
+    return (float(np.max(rises)) if rises.size else 0.0) / run.e_scale
 
 
 def _virial(run: CheckInput) -> float | None:

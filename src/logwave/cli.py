@@ -33,7 +33,7 @@ import numpy as np
 from .analysis import continuous_dependence, convergence_study, mandatory_ok, run_checks
 from .domain import DomainSpec, ModalField, grad_norm_sq, l2_norm_sq, random_band_limited
 from .functionals import CSV_COLUMNS, EnergyReport, ModelParams, source_dual_norm
-from .solver import BLOWUP, COMPLETED, SolverConfig, integrate
+from .solver import BLOWUP, COMPLETED, InitialEnergyError, SolverConfig, integrate
 from .well import DegenerateFieldError, default_trial_family, estimate_depth, stable_set_check
 
 EXIT_OK = 0
@@ -260,6 +260,12 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(Path(path).read_text())
 
 
+def _initial_key(spec: InitialSpec) -> str:
+    """The config key that scales the initial data, with its value."""
+    return (f"'initial.path' ({spec.path})" if spec.type == "file"
+            else f"'initial.amplitude' ({spec.amplitude:g})")
+
+
 def build_initial(cfg: RunConfig) -> tuple[ModalField, ModalField]:
     """Construct (u0, u1) from the initial section."""
     dom = cfg.domain
@@ -296,8 +302,7 @@ def build_initial(cfg: RunConfig) -> tuple[ModalField, ModalField]:
         with np.errstate(over="ignore"):
             finite = math.isfinite(l2_norm_sq(f)) and math.isfinite(grad_norm_sq(f))
         if not finite:
-            where = (f"'initial.path' ({spec.path}): '{name}'" if spec.type == "file"
-                     else f"'initial.amplitude' ({spec.amplitude:g})")
+            where = _initial_key(spec) + (f": '{name}'" if spec.type == "file" else "")
             raise ConfigError(f"{where} gives initial data out of floating-point range")
     return u0, u1
 
@@ -529,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _COMMANDS[args.command](cfg, Path(args.output_dir), args.quiet)
+    except InitialEnergyError as exc:
+        print(f"data error: {_initial_key(cfg.initial)}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, DegenerateFieldError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

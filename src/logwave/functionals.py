@@ -15,13 +15,10 @@ All pointwise log work (the source, the two moments and the dual norm of
 the source) goes through one kernel, ``_pow_log``, which takes one log per
 grid point and builds |s|^p from it as exp(p ln|s|) unless p is an integer
 from 1 to 4.  The kernel writes into two grid buffers and its callers
-multiply into them in place.  A fresh grid-sized array above the
-allocator's trim threshold (a 32^3 grid is 256 kB) is mapped anew from the
-operating system and trimmed back when freed, which costs more than the
-arithmetic; so ``energy`` and ``solver.step`` take a ``grid_workspace``
-(the synthesized field plus the kernel's two buffers) that
-``solver.integrate`` allocates once and reuses for every step and report.
-Without one they allocate it per call and run the same code.
+multiply into them in place.  ``energy`` synthesizes u into the first
+array of ``DomainSpec.scratch`` and hands the kernel the other two, as
+``solver.step`` and ``well.fiber_moments`` do, so no report allocates a
+grid-sized array.
 """
 
 from __future__ import annotations
@@ -126,20 +123,6 @@ CSV_COLUMNS = (
 )
 
 
-def grid_workspace(domain: DomainSpec) -> tuple[np.ndarray, ...]:
-    """Three uninitialized grid arrays, the scratch of one step or report.
-
-    The first takes the synthesized field and the other two are the buffers
-    of ``_pow_log``.  Every array is written in full before it is read, so
-    what a previous call left in it never reaches a result.  The three are
-    views of one allocation, which glibc keeps on the heap between calls
-    (three separate 256 kB arrays at m=16 were trimmed and faulted in again
-    on every ``integrate`` call), handed out as a tuple: slicing the block
-    itself on every step cost 1.8 us, 3 % of a step at m=8.
-    """
-    return tuple(np.empty((3,) + domain.grid_shape))
-
-
 def _pow_log(s, p: float, work=None):
     """(|s|^p, ln max(|s|, ZERO_CLIP), |s| < ZERO_CLIP) from one log per point.
 
@@ -209,12 +192,8 @@ def _require_finite(f: ModalField, name: str):
         raise ValueError(f"{name} contains non-finite coefficients")
 
 
-def energy(u: ModalField, ut: ModalField, params: ModelParams,
-           work: tuple[np.ndarray, ...] | None = None) -> EnergyReport:
-    """Evaluate the full energy report of a state (ledger fields left zero).
-
-    ``work`` is a ``grid_workspace`` of u's domain, allocated when None.
-    """
+def energy(u: ModalField, ut: ModalField, params: ModelParams) -> EnergyReport:
+    """Evaluate the full energy report of a state (ledger fields left zero)."""
     if u.domain != ut.domain:
         raise ValueError("u and u_t live on different domains")
     _require_finite(u, "u")
@@ -224,10 +203,9 @@ def energy(u: ModalField, ut: ModalField, params: ModelParams,
     cross = l2_inner(u, ut)
     g = params.gamma
     if params.source_enabled:
-        if work is None:
-            work = grid_workspace(u.domain)
-        values = synthesize(u.domain, u.coeffs, out=work[0])
-        lgamma, logterm = log_moments(values, u.domain.quad_weight, g, work[1:])
+        scratch = u.domain.scratch
+        values = synthesize(u.domain, u.coeffs, out=scratch[0])
+        lgamma, logterm = log_moments(values, u.domain.quad_weight, g, scratch[1:])
     else:
         lgamma = logterm = 0.0
     J = 0.5 * grad_sq - logterm / g + lgamma / g ** 2

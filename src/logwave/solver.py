@@ -25,12 +25,11 @@ scan decides from ||grad u||^2 and ||grad u_t||^2, which the loop computes
 once per step (the second feeds the ledger).  A sum of non-negative terms is
 finite only when every coefficient is, so the two ``isfinite`` passes run
 only once a norm is not finite: at m=8 the loop is bound by the cost of each
-NumPy call, not by arithmetic.  One grid
-workspace per ``integrate`` call (``functionals.grid_workspace``) takes the
-synthesized field and the pointwise log buffers of every step and every
-report, so the loop allocates no grid-sized array: at m=16 a 32^3 grid is
-256 kB, above the allocator's trim threshold, and fresh grid arrays were
-mapped anew from the operating system on every step.
+NumPy call, not by arithmetic.  Every step and report synthesizes u and
+takes its pointwise logs in the domain's ``scratch``, so the loop allocates
+no grid-sized array: at m=16 a 32^3 grid is 256 kB, above the allocator's
+trim threshold, and fresh grid arrays were mapped anew from the operating
+system on every step.
 """
 
 from __future__ import annotations
@@ -42,13 +41,17 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import DomainSpec, ModalField, analyze, coeff_grad_norm_sq, synthesize
-from .functionals import EnergyReport, ModelParams, energy, grid_workspace, source_eval
+from .functionals import EnergyReport, ModelParams, energy, source_eval
 
 RUNNING = "RUNNING"
 COMPLETED = "COMPLETED"
 BLOWUP = "BLOWUP"
 
 SCHEMES = ("IMEX2", "IMEX1")
+
+
+class InitialEnergyError(ValueError):
+    """Raised by ``integrate`` when E(0) is not finite."""
 
 
 @dataclass(frozen=True)
@@ -132,25 +135,22 @@ def _trapezoid(domain: DomainSpec, dt: float) -> tuple[np.ndarray, ...]:
 
 def step(domain: DomainSpec, a: np.ndarray, b: np.ndarray, f_prev: np.ndarray | None,
          cfg: SolverConfig, params: ModelParams,
-         work: tuple[np.ndarray, ...] | None = None,
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Advance the coefficients (a, b) of (u, u_t) by one time step.
 
     ``f_prev`` is the source of the previous step (None before the first);
     the returned ``f_now`` is the source at ``a``, None with the source off.
-    ``work`` is a ``grid_workspace`` of the domain, allocated when None; the
-    returned arrays are fresh.
+    The returned arrays are fresh; the grid work is done in ``domain.scratch``.
     """
     aa, ab, af, ba, bb, bf = _trapezoid(domain, cfg.dt)
     a_new = aa * a + ab * b
     b_new = ba * a + bb * b
     if not params.source_enabled:
         return a_new, b_new, None
-    if work is None:
-        work = grid_workspace(domain)
+    scratch = domain.scratch
     # the modal projection F = P_band f(u) of the source in the eigenbasis
-    u = synthesize(domain, a, out=work[0])
-    f_now = analyze(domain, source_eval(u, params.gamma, work[1:]))
+    u = synthesize(domain, a, out=scratch[0])
+    f_now = analyze(domain, source_eval(u, params.gamma, scratch[1:]))
     if cfg.scheme == "IMEX2" and f_prev is not None:
         f_star = 1.5 * f_now - 0.5 * f_prev
     else:
@@ -172,14 +172,18 @@ def integrate(
     A report (and, when requested, a state snapshot) is emitted at t = 0 and
     every ``report_every`` steps.  Integration stops early with BLOWUP
     status when the divergence detector fires; the first offending time is
-    recorded as the maximal-existence-time estimate.
+    recorded as the maximal-existence-time estimate.  An E(0) that is not
+    finite raises ``InitialEnergyError``: the energy ledger is relative to it.
     """
     if u0.domain != u1.domain:
         raise ValueError("u0 and u1 live on different domains")
     dom = u0.domain
     state = SimState(u=u0, ut=u1)
-    work = grid_workspace(dom)
-    rep0 = energy(u0, u1, params, work)
+    # an overflowing E(0) is reported by the test below, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep0 = energy(u0, u1, params)
+    if not math.isfinite(rep0.E):
+        raise InitialEnergyError(f"initial energy E(0) = {rep0.E!r} is not finite")
     reports = [rep0]
     states = [state] if store_states else None
 
@@ -187,7 +191,7 @@ def integrate(
     grad_ut_sq = coeff_grad_norm_sq(dom, b)
     n_steps = round(cfg.t_end / cfg.dt)
     for n in range(1, n_steps + 1):
-        a, b, f = step(dom, a, b, f, cfg, params, work)
+        a, b, f = step(dom, a, b, f, cfg, params)
         grad_ut_prev, grad_ut_sq = grad_ut_sq, coeff_grad_norm_sq(dom, b)
         damp += 0.5 * cfg.dt * (grad_ut_prev + grad_ut_sq)
         status = blowup_scan(a, b, coeff_grad_norm_sq(dom, a), grad_ut_sq,
@@ -198,7 +202,7 @@ def integrate(
         if status == BLOWUP:
             return IntegrationResult(reports=reports, final=state, status=BLOWUP,
                                      t_max=state.t, states=states)
-        rep = energy(state.u, state.ut, params, work)
+        rep = energy(state.u, state.ut, params)
         reports.append(replace(rep, t=state.t, damping_integral=damp,
                                identity_residual=rep.E + damp - rep0.E))
         if states is not None:

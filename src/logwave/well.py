@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainSpec, ModalField, grad_norm_sq, random_band_limited, synthesize
-from .functionals import ModelParams, energy, grid_workspace, log_moments
+from .functionals import ModelParams, energy, log_moments
 
 
 class DegenerateFieldError(ValueError):
@@ -94,19 +94,12 @@ class StableSetVerdict:
     trivial_zero: bool = False
 
 
-def fiber_moments(u: ModalField, params: ModelParams,
-                  work: tuple[np.ndarray, ...] | None = None) -> FiberMoments:
-    """The moments (A, B, G) of u.
-
-    ``work`` is a ``grid_workspace`` of u's domain, allocated when None: the
-    field is synthesized into ``work[0]`` and the log kernel writes into the
-    other two.
-    """
+def fiber_moments(u: ModalField, params: ModelParams) -> FiberMoments:
+    """The moments (A, B, G) of u, computed in the scratch of u's domain."""
     A = grad_norm_sq(u)
-    if work is None:
-        work = grid_workspace(u.domain)
-    values = synthesize(u.domain, u.coeffs, out=work[0])
-    G, B = log_moments(values, u.domain.quad_weight, params.gamma, work[1:])
+    scratch = u.domain.scratch
+    values = synthesize(u.domain, u.coeffs, out=scratch[0])
+    G, B = log_moments(values, u.domain.quad_weight, params.gamma, scratch[1:])
     return FiberMoments(A=A, B=B, G=G)
 
 
@@ -165,16 +158,14 @@ def _project_moments(m: FiberMoments, gamma: float) -> tuple[float, float]:
     return lambda_star, fiber_J(m, lambda_star, gamma)
 
 
-def project_to_nehari(u: ModalField, params: ModelParams,
-                      work: tuple[np.ndarray, ...] | None = None) -> tuple[float, float]:
+def project_to_nehari(u: ModalField, params: ModelParams) -> tuple[float, float]:
     """Global maximizer lambda* of the fibering map and J(lambda* u).
 
     lambda* is the closed-form root of the module docstring, so
     fiber_I(lambda*) vanishes to roundoff at every scale of u; J at the
-    maximizer is positive for every nonzero field.  ``work`` is passed to
-    ``fiber_moments``.
+    maximizer is positive for every nonzero field.
     """
-    return _project_moments(fiber_moments(u, params, work), params.gamma)
+    return _project_moments(fiber_moments(u, params), params.gamma)
 
 
 def default_trial_family(
@@ -205,13 +196,11 @@ def estimate_depth(
         labels = [f"trial-{i:02d}" for i in range(len(trials))]
     if len(labels) != len(trials):
         raise ValueError("labels must match trials one to one")
-    domain = trials[0].domain
-    if any(trial.domain != domain for trial in trials):
+    if any(trial.domain != trials[0].domain for trial in trials):
         raise ValueError("trials live on different domains")
-    work = grid_workspace(domain)
     rows = []
     for label, trial in zip(labels, trials):
-        lambda_star, j_max = project_to_nehari(trial, params, work)
+        lambda_star, j_max = project_to_nehari(trial, params)
         if not j_max > 0:
             raise DegenerateFieldError(f"trial {label}: nonpositive fibering supremum")
         rows.append((label, lambda_star, j_max))

@@ -260,24 +260,29 @@ class TestCmdRun:
         assert summary["t_max"] < 5.0
 
     def test_overflowing_amplitude_names_key(self, tmp_path, capsys):
-        # |u|^g overflows, so the source of the initial data has no finite norm
-        cfg = fast_run_config(tmp_path, initial={"amplitude": 1e200})
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
-        assert code == EXIT_CONFIG
-        assert "'initial.amplitude'" in capsys.readouterr().err
+        # |u|^g overflows, so neither the source of the initial data (run)
+        # nor E(0) (every command that integrates) is finite
+        for amplitude in (1e100, 1e200):
+            cfg = fast_run_config(tmp_path, initial={"amplitude": amplitude})
+            for command in ("run", "converge", "depend"):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    code = main([command, "--config", cfg, "--output-dir", str(tmp_path),
+                                 "--quiet"])
+                assert code == EXIT_CONFIG
+                assert f"'initial.amplitude' ({amplitude:g})" in capsys.readouterr().err
 
     @pytest.mark.parametrize("amplitude", [1e100, 1e200])
     def test_overflowing_amplitude_warns_nothing(self, tmp_path, capsys, amplitude):
         cfg = fast_run_config(tmp_path, initial={"amplitude": amplitude})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["run", "--config", cfg, "--output-dir", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert [str(w.message) for w in caught] == []
-        err = capsys.readouterr().err
-        assert err.startswith("data error: 'initial.amplitude'")
-        assert err.count("\n") == 1
+        for command in ("run", "converge", "depend"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, "--config", cfg, "--output-dir", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert [str(w.message) for w in caught] == []
+            err = capsys.readouterr().err
+            assert err.startswith("data error: 'initial.amplitude'")
+            assert err.count("\n") == 1
 
     def test_config_error_exit_code(self, tmp_path):
         bad = write_config(tmp_path / "bad.json", dict(MINIMAL, model={"gamma": 3.0}))
@@ -373,6 +378,18 @@ class TestOtherCommands:
         report = json.loads((tmp_path / "summary.json").read_text())
         names = {c["name"]: c for c in report["checks"]}
         assert names["energy_identity"]["status"] == "FAIL"
+
+    def test_verify_fails_infinite_initial_energy(self, tmp_path, capsys):
+        # every check relative to an infinite E(0) would read 0 and pass
+        cfg = fast_run_config(tmp_path)
+        (tmp_path / "trajectory.csv").write_text(
+            f"{','.join(CSV_COLUMNS)}\n0,inf,1,1,inf,1,1,1,0,0,0\n")
+        code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path)])
+        assert code == EXIT_CHECKS
+        out = capsys.readouterr().out
+        assert "FAIL energy_identity" in out
+        assert "FAIL monotone_dissipation" in out
+        assert "PASS" not in out
 
 
 class TestSeedOverride:

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logwave
-from logwave import functionals, solver
 from logwave.analysis import CHECKS, CheckInput
 from logwave.domain import (
     DomainSpec,
@@ -26,7 +25,7 @@ from logwave.domain import (
     random_band_limited,
     synthesize,
 )
-from logwave.functionals import ModelParams, energy, grid_workspace, source_eval
+from logwave.functionals import ModelParams, energy, source_eval
 from logwave.solver import (
     BLOWUP,
     COMPLETED,
@@ -37,7 +36,7 @@ from logwave.solver import (
     integrate,
     step,
 )
-from logwave.well import estimate_depth, stable_set_check
+from logwave.well import default_trial_family, estimate_depth, stable_set_check
 
 PARAMS = ModelParams(4.0, 3)
 
@@ -333,7 +332,7 @@ class TestIntegrate:
 
 
 class TestWorkspace:
-    """One grid workspace per integrate call, reused by every step and report."""
+    """One grid scratch per domain, reused by every step, report and trial."""
 
     @staticmethod
     def state(dom, seed=5, amplitude=0.05):
@@ -350,11 +349,10 @@ class TestWorkspace:
         params = ModelParams(gamma, 3)
         cfg = SolverConfig(dt=1e-3)
         a, b = self.state(dom)
-        work = grid_workspace(dom)
-        f = step(dom, a, b, None, cfg, params, work)[2]
+        f = step(dom, a, b, None, cfg, params)[2]
         u, ut = ModalField(dom, a), ModalField(dom, b)
-        calls = ((lambda: step(dom, a, b, f, cfg, params, work), 1.1),
-                 (lambda: energy(u, ut, params, work), 0.8))
+        calls = ((lambda: step(dom, a, b, f, cfg, params), 1.1),
+                 (lambda: energy(u, ut, params), 0.8))
         for call, grids in calls:
             call()
             tracemalloc.start()
@@ -363,54 +361,67 @@ class TestWorkspace:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= grids * work[0].nbytes
+            assert peak <= grids * dom.scratch[0].nbytes
 
-    def test_integrate_allocates_one_workspace(self, monkeypatch):
-        made = []
-
-        def counted(domain):
-            made.append(domain)
-            return grid_workspace(domain)
-
-        monkeypatch.setattr(solver, "grid_workspace", counted)
-        monkeypatch.setattr(functionals, "grid_workspace", counted)
+    def test_one_scratch_per_domain(self):
+        # the loop, the trials and the stable-set energy all write into the
+        # scratch of the domain they run on, and leave its arrays in place
         dom = DomainSpec(3, np.pi, 4)
+        scratch = dom.scratch
         a, b = self.state(dom)
-        result = integrate(ModalField(dom, a), ModalField(dom, b),
-                           SolverConfig(dt=1e-3, t_end=0.02, report_every=5), PARAMS)
-        assert len(result.reports) == 5
-        assert made == [dom]
+        u0, u1 = ModalField(dom, a), ModalField(dom, b)
+        trials, labels = default_trial_family(dom, count=4, seed=2)
+        calls = (
+            lambda: integrate(u0, u1, SolverConfig(dt=1e-3, t_end=0.02, report_every=5),
+                              PARAMS),
+            lambda: estimate_depth(trials, PARAMS, labels=labels),
+            lambda: stable_set_check(u0, u1, 1.0, 0.5, PARAMS),
+        )
+        for call in calls:
+            for w in scratch:
+                w.fill(np.nan)
+            call()
+            assert dom.scratch is scratch
+            assert not any(np.isnan(w).any() for w in scratch)
+        assert all(w.base is scratch[0].base for w in scratch)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("source", [True, False])
     def test_stale_workspace_changes_no_bit(self, dim, scheme, source):
+        # what an earlier call left in the scratch never reaches a result:
+        # a scratch full of NaN gives the bits of a fresh, equal domain
         dom = DomainSpec(dim, np.pi, 4)
         params = ModelParams(5.5, dim, unsafe_gamma=True, source_enabled=source)
         cfg = SolverConfig(dt=1e-2, scheme=scheme)
         a, b = self.state(dom, seed=dim, amplitude=0.5)
-        work = grid_workspace(dom)
 
         def stale():
-            for w in work:
+            for w in dom.scratch:
                 w.fill(np.nan)
-            return work
+            return dom
+
+        def fresh():
+            return DomainSpec(dim, np.pi, 4)
 
         def same_bits(x, y):
             return x is y or np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
         f_fresh = f_stale = None
         for _ in range(2):
-            fresh = step(dom, a, b, f_fresh, cfg, params)
-            got = step(dom, a, b, f_stale, cfg, params, stale())
-            assert all(same_bits(x, y) for x, y in zip(got, fresh))
-            assert not any(np.shares_memory(x, w) for x in got if x is not None for w in work)
-            (a, b, f_fresh), f_stale = fresh, got[2]
+            want = step(fresh(), a, b, f_fresh, cfg, params)
+            got = step(stale(), a, b, f_stale, cfg, params)
+            assert all(same_bits(x, y) for x, y in zip(got, want))
+            assert not any(np.shares_memory(x, w)
+                           for x in got if x is not None for w in dom.scratch)
+            (a, b, f_fresh), f_stale = want, got[2]
 
-        u, ut = ModalField(dom, a), ModalField(dom, b)
-        assert same_bits(np.array(astuple(energy(u, ut, params, stale()))),
-                         np.array(astuple(energy(u, ut, params))))
-        out = stale()[0]
+        def report(domain):
+            return np.array(astuple(energy(ModalField(domain, a), ModalField(domain, b),
+                                           params)))
+
+        assert same_bits(report(stale()), report(fresh()))
+        out = stale().scratch[0]
         assert synthesize(dom, a, out=out) is out
         assert same_bits(out, synthesize(dom, a))
 
