@@ -363,6 +363,23 @@ class TestWorkspace:
                 tracemalloc.stop()
             assert peak <= grids * dom.scratch[0].nbytes
 
+    def test_integrate_allocates_one_workspace(self, monkeypatch):
+        # the grid scratch is built once, for the domain integrate runs on
+        made = []
+        build = DomainSpec.__dict__["scratch"].func
+
+        def counted(domain):
+            made.append(domain)
+            return build(domain)
+
+        monkeypatch.setattr(DomainSpec.__dict__["scratch"], "func", counted)
+        dom = DomainSpec(3, np.pi, 4)
+        a, b = self.state(dom)
+        result = integrate(ModalField(dom, a), ModalField(dom, b),
+                           SolverConfig(dt=1e-3, t_end=0.02, report_every=5), PARAMS)
+        assert len(result.reports) == 5
+        assert made == [dom]
+
     def test_one_scratch_per_domain(self):
         # the loop, the trials and the stable-set energy all write into the
         # scratch of the domain they run on, and leave its arrays in place

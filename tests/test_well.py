@@ -256,6 +256,22 @@ class TestEstimateDepth:
             assert est.d_hat <= prev + 1e-15
             prev = est.d_hat
 
+    def test_allocates_one_workspace(self, monkeypatch):
+        # every trial works in the one grid scratch of the shared domain
+        made = []
+        build = DomainSpec.__dict__["scratch"].func
+
+        def counted(domain):
+            made.append(domain)
+            return build(domain)
+
+        monkeypatch.setattr(DomainSpec.__dict__["scratch"], "func", counted)
+        dom = DomainSpec(3, np.pi, 4)
+        trials, labels = default_trial_family(dom, count=4, seed=2)
+        est = estimate_depth(trials, PARAMS, labels=labels)
+        assert len(est.trials) == 5
+        assert made == [dom]
+
     @pytest.mark.parametrize("gamma", [4.0, 5.5])
     def test_stale_workspace_changes_no_bit(self, gamma):
         # a scratch full of NaN gives the bits of a fresh, equal domain
