@@ -192,7 +192,9 @@ def check_integral_bound(
     candidates = candidates[candidates < len(t) - 1]
     if candidates.size:
         take = candidates[np.linspace(0, candidates.size - 1, min(n_s_samples, candidates.size)).astype(int)]
-        ratios = [float(np.trapezoid(E[i:], t[i:]) / E[i]) for i in take]
+        # E = inf gives inf / inf = nan, a FAIL rather than a warning
+        with np.errstate(invalid="ignore"):
+            ratios = [float(np.trapezoid(E[i:], t[i:]) / E[i]) for i in take]
         c0_hat = max(ratios)
         n_used = len(take)
     else:
@@ -263,7 +265,9 @@ def _finite(measured: float, _tolerance: None) -> bool:
 
 
 def _max_energy_rise(run: CheckInput) -> float:
-    rises = np.diff([r.E for r in run.reports])
+    # rows of E = inf give inf - inf = nan, a FAIL rather than a warning
+    with np.errstate(invalid="ignore"):
+        rises = np.diff([r.E for r in run.reports])
     return (float(np.max(rises)) if rises.size else 0.0) / run.e_scale
 
 

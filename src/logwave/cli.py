@@ -1,6 +1,8 @@
 """Configuration parsing, experiment orchestration and file output.
 
-One JSON config document drives every subcommand.  Sections and defaults:
+One JSON config document drives every subcommand.  Each section is read
+into one dataclass, and the defaults below are its fields' defaults: a key
+left out or null takes the default, and one without a default is required.
 
     domain:  dim (required), length (required), modes_per_dim=8, oversample=2
     model:   gamma (required), unsafe_gamma=false, source_enabled=true
@@ -25,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,32 +48,32 @@ class ConfigError(ValueError):
     """Configuration document rejected; message carries the key path."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class InitialSpec:
-    type: str
+    type: str = "eigenmode"
     amplitude: float
     mode: tuple[int, ...]
-    seed: int
-    path: str | None
+    seed: int = 0
+    path: str | None = None
 
 
 @dataclass(frozen=True)
 class WellSpec:
-    trial_count: int
-    safety: float
-    seed: int
+    trial_count: int = 32
+    safety: float = 0.5
+    seed: int = 0
 
 
 @dataclass(frozen=True)
 class OutputSpec:
-    csv_path: str
-    json_path: str
+    csv_path: str = "trajectory.csv"
+    json_path: str = "summary.json"
 
 
 @dataclass(frozen=True)
 class StudySpec:
-    m_list: tuple[int, ...]
-    epsilons: tuple[float, ...]
+    m_list: tuple[int, ...] = (4, 8, 16)
+    epsilons: tuple[float, ...] = (1e-3, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -83,37 +85,6 @@ class RunConfig:
     well: WellSpec
     outputs: OutputSpec
     study: StudySpec
-
-
-_SECTIONS = {
-    "domain": {"dim", "length", "modes_per_dim", "oversample"},
-    "model": {"gamma", "unsafe_gamma", "source_enabled"},
-    "solver": {"dt", "t_end", "scheme", "blowup_threshold", "report_every"},
-    "initial": {"type", "amplitude", "mode", "seed", "path"},
-    "well": {"trial_count", "safety", "seed"},
-    "outputs": {"csv_path", "json_path"},
-    "study": {"m_list", "epsilons"},
-}
-
-
-def _reject_unknown(doc: dict):
-    for section in doc:
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section '{section}'")
-        if not isinstance(doc[section], dict):
-            raise ConfigError(f"section '{section}' must be an object")
-        for key in doc[section]:
-            if key not in _SECTIONS[section]:
-                raise ConfigError(f"unknown key '{section}.{key}'")
-
-
-def _get(doc: dict, section: str, key: str, default=None, required: bool = False):
-    value = doc.get(section, {}).get(key, None)
-    if value is None:
-        if required:
-            raise ConfigError(f"missing required key '{section}.{key}'")
-        return default
-    return value
 
 
 def _number(value, path: str) -> float:
@@ -144,6 +115,74 @@ def _count(value, path: str) -> int:
     return value
 
 
+def _string(value, path: str) -> str:
+    return str(value)
+
+
+def _unchecked(value, path: str):
+    """A value that a cross-key rule of ``parse_config`` checks."""
+    return value
+
+
+def _m_list(value, path: str) -> tuple[int, ...]:
+    if (not isinstance(value, list) or len(value) < 2
+            or not all(isinstance(m, int) and not isinstance(m, bool) and m >= 1 for m in value)
+            or any(b <= a for a, b in zip(value, value[1:]))):
+        raise ConfigError(f"'{path}' must be a strictly increasing list of >= 2 "
+                          "positive integers")
+    return tuple(value)
+
+
+def _epsilons(value, path: str) -> tuple[float, ...]:
+    # the report divides by eps^2, which must neither overflow nor vanish
+    if not isinstance(value, list) or not all(
+            isinstance(e, (int, float)) and not isinstance(e, bool)
+            and (e == 0 or (0 < e < 1e154 and e * e > 0)) for e in value):
+        raise ConfigError(f"'{path}' must be a list of numbers, each 0 or in "
+                          "(0, 1e154) with a nonzero square")
+    return tuple(float(e) for e in value)
+
+
+# Each section's dataclass and its keys, each with the reader that checks and
+# converts its value.  The key sets are the whole schema: any other section or
+# key is rejected.  Every default is the dataclass field's own.
+_SCHEMA = {
+    "domain": (DomainSpec, {"dim": _integer, "length": _number,
+                            "modes_per_dim": _integer, "oversample": _integer}),
+    "model": (ModelParams, {"gamma": _number, "unsafe_gamma": _boolean,
+                            "source_enabled": _boolean}),
+    "solver": (SolverConfig, {"dt": _number, "t_end": _number, "scheme": _string,
+                              "blowup_threshold": _number, "report_every": _integer}),
+    "initial": (InitialSpec, {"type": _string, "amplitude": _number, "mode": _unchecked,
+                              "seed": _count, "path": _unchecked}),
+    "well": (WellSpec, {"trial_count": _count, "safety": _number, "seed": _count}),
+    "outputs": (OutputSpec, {"csv_path": _string, "json_path": _string}),
+    "study": (StudySpec, {"m_list": _m_list, "epsilons": _epsilons}),
+}
+
+
+def _read(doc: dict, section: str) -> dict:
+    """The section's keys that are set, each through its reader.  A key left
+    out or set to null is not passed, so its field's default applies."""
+    body = doc.get(section, {})
+    return {key: read(body[key], f"{section}.{key}")
+            for key, read in _SCHEMA[section][1].items() if body.get(key) is not None}
+
+
+def _build(section: str, values: dict):
+    """The section's dataclass from ``values``; a key whose field has no
+    default is required.  Only the constructor's own errors get the section
+    as a prefix."""
+    cls, readers = _SCHEMA[section]
+    for f in fields(cls):
+        if f.name in readers and f.name not in values and f.default is MISSING:
+            raise ConfigError(f"missing required key '{section}.{f.name}'")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document into a RunConfig."""
     try:
@@ -152,38 +191,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be an object")
-    _reject_unknown(doc)
+    for section, body in doc.items():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section '{section}'")
+        if not isinstance(body, dict):
+            raise ConfigError(f"section '{section}' must be an object")
+        for key in body:
+            if key not in _SCHEMA[section][1]:
+                raise ConfigError(f"unknown key '{section}.{key}'")
 
-    try:
-        domain = DomainSpec(
-            dim=_integer(_get(doc, "domain", "dim", required=True), "domain.dim"),
-            length=_number(_get(doc, "domain", "length", required=True), "domain.length"),
-            modes_per_dim=_integer(_get(doc, "domain", "modes_per_dim", 8), "domain.modes_per_dim"),
-            oversample=_integer(_get(doc, "domain", "oversample", 2), "domain.oversample"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from exc
-
-    try:
-        model = ModelParams(
-            gamma=_number(_get(doc, "model", "gamma", required=True), "model.gamma"),
-            dim=domain.dim,
-            unsafe_gamma=_boolean(_get(doc, "model", "unsafe_gamma", False), "model.unsafe_gamma"),
-            source_enabled=_boolean(_get(doc, "model", "source_enabled", True), "model.source_enabled"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-    try:
-        solver = SolverConfig(
-            dt=_number(_get(doc, "solver", "dt", 1e-3), "solver.dt"),
-            t_end=_number(_get(doc, "solver", "t_end", 20.0), "solver.t_end"),
-            scheme=str(_get(doc, "solver", "scheme", "IMEX2")),
-            blowup_threshold=_number(_get(doc, "solver", "blowup_threshold", 1e8), "solver.blowup_threshold"),
-            report_every=_integer(_get(doc, "solver", "report_every", 10), "solver.report_every"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    domain = _build("domain", _read(doc, "domain"))
+    model = _build("model", {**_read(doc, "model"), "dim": domain.dim})
+    solver = _build("solver", _read(doc, "solver"))
     # integrate takes round(t_end / dt) steps and would silently move any other t_end
     n_steps = solver.t_end / solver.dt
     if not math.isclose(n_steps, round(n_steps), rel_tol=1e-9):
@@ -192,65 +211,41 @@ def parse_config(text: str) -> RunConfig:
             f"'solver.dt' ({solver.dt!r})"
         )
 
-    kind = str(_get(doc, "initial", "type", "eigenmode"))
+    values = _read(doc, "initial")
+    kind = values.get("type", InitialSpec.type)
     if kind not in ("eigenmode", "random", "file"):
         raise ConfigError(f"'initial.type' must be eigenmode, random or file, got {kind!r}")
-    path = _get(doc, "initial", "path")
+    path = values.pop("path", None)
     if kind == "file":
         if not path:
             raise ConfigError("missing required key 'initial.path' for type=file")
-        amplitude = _number(_get(doc, "initial", "amplitude", 1.0), "initial.amplitude")
-    else:
-        amplitude = _number(_get(doc, "initial", "amplitude", required=True), "initial.amplitude")
-    mode_raw = _get(doc, "initial", "mode", [1] * domain.dim)
-    if (not isinstance(mode_raw, list) or len(mode_raw) != domain.dim
-            or not all(isinstance(k, int) and not isinstance(k, bool) for k in mode_raw)):
+        values.setdefault("amplitude", 1.0)
+    if path:
+        values["path"] = str(path)
+    mode = values.get("mode", [1] * domain.dim)
+    if (not isinstance(mode, list) or len(mode) != domain.dim
+            or not all(isinstance(k, int) and not isinstance(k, bool) for k in mode)):
         raise ConfigError(f"'initial.mode' must be a list of {domain.dim} integers")
-    if not all(1 <= k <= domain.modes_per_dim for k in mode_raw):
+    if not all(1 <= k <= domain.modes_per_dim for k in mode):
         raise ConfigError(
             f"'initial.mode' indices must lie in 1..{domain.modes_per_dim}"
         )
-    initial = InitialSpec(
-        type=kind, amplitude=amplitude, mode=tuple(mode_raw),
-        seed=_count(_get(doc, "initial", "seed", 0), "initial.seed"),
-        path=str(path) if path else None,
-    )
+    initial = _build("initial", {**values, "mode": tuple(mode)})
 
-    safety = _number(_get(doc, "well", "safety", 0.5), "well.safety")
-    if not 0 < safety <= 1:
-        raise ConfigError(f"'well.safety' must lie in (0, 1], got {safety}")
-    well = WellSpec(
-        trial_count=_count(_get(doc, "well", "trial_count", 32), "well.trial_count"),
-        safety=safety,
-        seed=_count(_get(doc, "well", "seed", 0), "well.seed"),
-    )
+    well = _build("well", _read(doc, "well"))
+    if not 0 < well.safety <= 1:
+        raise ConfigError(f"'well.safety' must lie in (0, 1], got {well.safety}")
 
-    outputs = OutputSpec(
-        csv_path=str(_get(doc, "outputs", "csv_path", "trajectory.csv")),
-        json_path=str(_get(doc, "outputs", "json_path", "summary.json")),
-    )
+    outputs = _build("outputs", _read(doc, "outputs"))
     for key, name in asdict(outputs).items():
         if Path(name).name in ("", ".."):
             raise ConfigError(f"'outputs.{key}' must name a file, got {name!r}")
 
-    m_list = _get(doc, "study", "m_list", [4, 8, 16])
-    if (not isinstance(m_list, list) or len(m_list) < 2
-            or not all(isinstance(m, int) and not isinstance(m, bool) and m >= 1 for m in m_list)
-            or any(b <= a for a, b in zip(m_list, m_list[1:]))):
-        raise ConfigError("'study.m_list' must be a strictly increasing list of >= 2 "
-                          "positive integers")
+    study = _build("study", _read(doc, "study"))
     try:
-        DomainSpec(domain.dim, domain.length, m_list[-1], domain.oversample)
+        DomainSpec(domain.dim, domain.length, study.m_list[-1], domain.oversample)
     except ValueError as exc:
         raise ConfigError(f"'study.m_list': {exc}") from exc
-    eps_list = _get(doc, "study", "epsilons", [1e-3, 1e-4])
-    # the report divides by eps^2, which must neither overflow nor vanish
-    if not isinstance(eps_list, list) or not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool)
-            and (e == 0 or (0 < e < 1e154 and e * e > 0)) for e in eps_list):
-        raise ConfigError("'study.epsilons' must be a list of numbers, each 0 or in "
-                          "(0, 1e154) with a nonzero square")
-    study = StudySpec(m_list=tuple(m_list), epsilons=tuple(float(e) for e in eps_list))
 
     return RunConfig(domain=domain, model=model, solver=solver, initial=initial,
                      well=well, outputs=outputs, study=study)

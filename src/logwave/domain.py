@@ -23,7 +23,9 @@ the logarithmic integrands is approximate; oversampling controls the error.
 
 Mode ordering is lexicographic over multi-indices, i.e. C order of the
 coefficient arrays.  All types are immutable after construction, except
-for the grid arrays of ``DomainSpec.scratch``, which every call overwrites.
+for the work arrays of ``DomainSpec.scratch`` and ``transform_scratch``,
+which every call overwrites, and the solver's ``step_cache``, which only
+grows.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class DomainSpec:
 
     dim: int
     length: float
-    modes_per_dim: int
+    modes_per_dim: int = 8
     oversample: int = 2
 
     def __post_init__(self):
@@ -126,6 +128,23 @@ class DomainSpec:
         every step cost 3 % of a step at m=8.  Not for concurrent threads.
         """
         return tuple(np.empty((3,) + self.grid_shape))
+
+    @cached_property
+    def transform_scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat arrays of m*m*N and m*N*N values (m modes, N grid points
+        per axis) for the intermediate products of a 3-D ``synthesize`` or
+        ``analyze``.  Fresh ones, 64 and 128 kB at m=16, left the top of the
+        heap to be trimmed between runs and grown again.  Not for concurrent
+        threads."""
+        m, n = self.modes_per_dim, self.grid_per_dim
+        block = np.empty(m * n * (m + n))
+        return block[:m * m * n], block[m * m * n:]
+
+    @cached_property
+    def step_cache(self) -> dict:
+        """The solver's per-mode step coefficients on this domain, keyed on
+        dt.  Held by the domain, so they are freed with it."""
+        return {}
 
     @cached_property
     def analysis_matrix(self) -> np.ndarray:
@@ -221,32 +240,38 @@ def synthesize(domain: DomainSpec, coeffs: np.ndarray, out: np.ndarray | None = 
     """Evaluate modal coefficients on the quadrature grid (raw arrays).
 
     The last product is written into ``out``, a C-contiguous float array of
-    ``grid_shape`` (a fresh one when None), which is returned.
+    ``grid_shape`` (a fresh one when None), which is returned; in 3-D the
+    other two go into ``domain.transform_scratch``.
     """
     if out is None:
         out = np.empty(domain.grid_shape)
     s = domain.synthesis_matrix
     if domain.dim == 1:
         return np.matmul(s, coeffs, out=out)
-    x = coeffs @ s.T
     if domain.dim == 2:
-        return np.matmul(s, x, out=out)
-    x = s @ x
-    np.matmul(s, x.reshape(domain.modes_per_dim, -1),
-              out=out.reshape(domain.grid_per_dim, -1))
+        return np.matmul(s, coeffs @ s.T, out=out)
+    m, n = domain.modes_per_dim, domain.grid_per_dim
+    small, large = domain.transform_scratch
+    x = np.matmul(coeffs, s.T, out=small.reshape(m, m, n))
+    x = np.matmul(s, x, out=large.reshape(m, n, n))
+    np.matmul(s, x.reshape(m, -1), out=out.reshape(n, -1))
     return out
 
 
 def analyze(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
-    """L2-project grid values onto the modal band (raw arrays)."""
+    """L2-project grid values onto the modal band (raw arrays), into a fresh
+    array; in 3-D the intermediate products go into
+    ``domain.transform_scratch``."""
     a = domain.analysis_matrix
     if domain.dim == 1:
         return a @ values
-    x = values @ a.T
     if domain.dim == 2:
-        return a @ x
-    x = a @ x
-    return (a @ x.reshape(domain.grid_per_dim, -1)).reshape(domain.modal_shape)
+        return a @ (values @ a.T)
+    m, n = domain.modes_per_dim, domain.grid_per_dim
+    small, large = domain.transform_scratch
+    x = np.matmul(values, a.T, out=large.reshape(n, n, m))
+    x = np.matmul(a, x, out=small.reshape(n, m, m))
+    return (a @ x.reshape(n, -1)).reshape(domain.modal_shape)
 
 
 def coeff_grad_norm_sq(domain: DomainSpec, coeffs: np.ndarray) -> float:

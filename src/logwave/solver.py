@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -113,13 +112,16 @@ def blowup_scan(a: np.ndarray, b: np.ndarray, grad_sq: float, grad_ut_sq: float,
     return RUNNING
 
 
-@lru_cache(maxsize=16)
 def _trapezoid(domain: DomainSpec, dt: float) -> tuple[np.ndarray, ...]:
-    """Per-mode coefficients of one trapezoidal step of the linear part.
+    """Per-mode coefficients of one trapezoidal step of the linear part,
+    cached per dt in ``domain.step_cache``.
 
     The 2x2 solve of  a' = b,  b' = -lambda (a + b) + f  gives
     a_new = aa a + ab b + af f  and  b_new = ba a + bb b + bf f.
     """
+    cached = domain.step_cache.get(dt)
+    if cached is not None:
+        return cached
     half = 0.5 * dt * domain.eigenvalues
     quarter = 0.5 * dt * half
     det = 1.0 + half + quarter
@@ -130,6 +132,7 @@ def _trapezoid(domain: DomainSpec, dt: float) -> tuple[np.ndarray, ...]:
     )
     for c in coeffs:
         c.flags.writeable = False
+    domain.step_cache[dt] = coeffs
     return coeffs
 
 

@@ -64,6 +64,41 @@ class TestParseConfig:
         assert cfg.initial.mode == (1, 1, 1)
         assert cfg.well.trial_count == 32
         assert cfg.well.safety == 0.5
+        assert cfg.solver.blowup_threshold == 1e8
+        assert cfg.model.unsafe_gamma is False
+        assert cfg.model.source_enabled is True
+        assert cfg.initial.seed == 0
+        assert cfg.initial.path is None
+        assert cfg.well.seed == 0
+        assert cfg.outputs.csv_path == "trajectory.csv"
+        assert cfg.outputs.json_path == "summary.json"
+        assert cfg.study.m_list == (4, 8, 16)
+        assert cfg.study.epsilons == (1e-3, 1e-4)
+
+    def test_null_takes_the_default(self):
+        optional = {"domain": ["modes_per_dim", "oversample"],
+                    "model": ["unsafe_gamma", "source_enabled"],
+                    "solver": ["dt", "t_end", "scheme", "blowup_threshold", "report_every"],
+                    "initial": ["type", "mode", "seed", "path"],
+                    "well": ["trial_count", "safety", "seed"],
+                    "outputs": ["csv_path", "json_path"],
+                    "study": ["m_list", "epsilons"]}
+        doc = {section: {**MINIMAL.get(section, {}), **dict.fromkeys(keys)}
+               for section, keys in optional.items()}
+        assert parse_config(json.dumps(doc)) == parse_config(json.dumps(MINIMAL))
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("domain", "dim", "3"), ("model", "gamma", "4"), ("solver", "report_every", 2.5),
+        ("initial", "seed", "0"), ("well", "safety", [0.5]), ("outputs", "csv_path", ".."),
+        ("study", "m_list", 8),
+    ])
+    def test_bad_value_message_names_key_first(self, section, key, value):
+        # the reader's message is not wrapped again in the section's name
+        doc = json.loads(json.dumps(MINIMAL))
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert str(info.value).startswith(f"'{section}.{key}' must")
 
     def test_gamma_window_enforced(self):
         doc = dict(MINIMAL, model={"gamma": 3.5})
@@ -390,6 +425,21 @@ class TestOtherCommands:
         assert "FAIL energy_identity" in out
         assert "FAIL monotone_dissipation" in out
         assert "PASS" not in out
+
+    def test_verify_infinite_rows_warn_nothing(self, tmp_path, capsys):
+        cfg = fast_run_config(tmp_path)
+        (tmp_path / "trajectory.csv").write_text(
+            f"{','.join(CSV_COLUMNS)}\n0,inf,1,1,inf,1,1,1,0,0,0\n0.01,inf,1,1,inf,1,1,1,0,0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path)])
+        assert code == EXIT_CHECKS
+        captured = capsys.readouterr()
+        for name in ("energy_identity", "monotone_dissipation", "virial_identity",
+                     "integral_bound_finite"):
+            assert f"FAIL {name} measured=nan" in captured.out
+        assert "PASS" not in captured.out
+        assert captured.err == ""
 
 
 class TestSeedOverride:

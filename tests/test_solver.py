@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import platform
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from dataclasses import astuple
 from pathlib import Path
 from unittest import mock
@@ -379,6 +381,18 @@ class TestWorkspace:
                            SolverConfig(dt=1e-3, t_end=0.02, report_every=5), PARAMS)
         assert len(result.reports) == 5
         assert made == [dom]
+
+    def test_domain_freed_after_integrate(self):
+        # the step coefficients are cached on the domain, not in the module
+        dom = DomainSpec(3, np.pi, 4)
+        a, b = self.state(dom)
+        cfg = SolverConfig(dt=1e-3, t_end=0.02, report_every=5)
+        result = integrate(ModalField(dom, a), ModalField(dom, b), cfg, PARAMS)
+        assert list(dom.step_cache) == [cfg.dt]
+        ref = weakref.ref(dom)
+        del dom, result
+        gc.collect()
+        assert ref() is None
 
     def test_one_scratch_per_domain(self):
         # the loop, the trials and the stable-set energy all write into the
