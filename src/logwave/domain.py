@@ -23,7 +23,7 @@ the logarithmic integrands is approximate; oversampling controls the error.
 
 Mode ordering is lexicographic over multi-indices, i.e. C order of the
 coefficient arrays.  All types are immutable after construction, except
-for the work arrays of ``DomainSpec.scratch`` and ``transform_scratch``,
+for the work arrays of ``DomainSpec.scratch`` and ``_transform_scratch``,
 which every call overwrites, and the solver's ``step_cache``, which only
 grows.
 """
@@ -130,12 +130,12 @@ class DomainSpec:
         return tuple(np.empty((3,) + self.grid_shape))
 
     @cached_property
-    def transform_scratch(self) -> tuple[np.ndarray, np.ndarray]:
+    def _transform_scratch(self) -> tuple[np.ndarray, np.ndarray]:
         """Two flat arrays of m*m*N and m*N*N values (m modes, N grid points
         per axis) for the intermediate products of a 3-D ``synthesize`` or
-        ``analyze``.  Fresh ones, 64 and 128 kB at m=16, left the top of the
-        heap to be trimmed between runs and grown again.  Not for concurrent
-        threads."""
+        ``analyze``.  Fresh ones, 64 and 128 kB at m=16, came from the top of
+        the heap, which the allocator could trim between two runs and the
+        next run then faulted back in.  Not for concurrent threads."""
         m, n = self.modes_per_dim, self.grid_per_dim
         block = np.empty(m * n * (m + n))
         return block[:m * m * n], block[m * m * n:]
@@ -241,7 +241,7 @@ def synthesize(domain: DomainSpec, coeffs: np.ndarray, out: np.ndarray | None = 
 
     The last product is written into ``out``, a C-contiguous float array of
     ``grid_shape`` (a fresh one when None), which is returned; in 3-D the
-    other two go into ``domain.transform_scratch``.
+    other two go into a buffer that the domain keeps.
     """
     if out is None:
         out = np.empty(domain.grid_shape)
@@ -251,7 +251,7 @@ def synthesize(domain: DomainSpec, coeffs: np.ndarray, out: np.ndarray | None = 
     if domain.dim == 2:
         return np.matmul(s, coeffs @ s.T, out=out)
     m, n = domain.modes_per_dim, domain.grid_per_dim
-    small, large = domain.transform_scratch
+    small, large = domain._transform_scratch
     x = np.matmul(coeffs, s.T, out=small.reshape(m, m, n))
     x = np.matmul(s, x, out=large.reshape(m, n, n))
     np.matmul(s, x.reshape(m, -1), out=out.reshape(n, -1))
@@ -260,15 +260,15 @@ def synthesize(domain: DomainSpec, coeffs: np.ndarray, out: np.ndarray | None = 
 
 def analyze(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
     """L2-project grid values onto the modal band (raw arrays), into a fresh
-    array; in 3-D the intermediate products go into
-    ``domain.transform_scratch``."""
+    array; in 3-D the intermediate products go into a buffer that the domain
+    keeps."""
     a = domain.analysis_matrix
     if domain.dim == 1:
         return a @ values
     if domain.dim == 2:
         return a @ (values @ a.T)
     m, n = domain.modes_per_dim, domain.grid_per_dim
-    small, large = domain.transform_scratch
+    small, large = domain._transform_scratch
     x = np.matmul(values, a.T, out=large.reshape(n, n, m))
     x = np.matmul(a, x, out=small.reshape(n, m, m))
     return (a @ x.reshape(n, -1)).reshape(domain.modal_shape)

@@ -462,8 +462,8 @@ class TestWorkspace:
     def test_loop_maps_no_fresh_pages(self):
         # a fresh interpreter, because earlier tests can leave glibc's dynamic
         # mmap threshold high enough that fresh grid arrays never fault either;
-        # the first call frees an mmapped workspace, which raises the
-        # threshold, so the second carves the workspace from the heap once
+        # two warm-up calls build the domain's work arrays and grow the heap
+        # to its steady size
         probe = textwrap.dedent("""
             import resource
             import numpy as np
