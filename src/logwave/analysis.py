@@ -29,6 +29,8 @@ from .well import IN, StableSetVerdict
 # absolute energy floor below which report samples are excluded from fits
 # and ratio estimates
 ENERGY_FLOOR = 1e-14
+# number of S values sampled for the ratio estimate c0_hat
+N_S_SAMPLES = 20
 
 
 class FitError(RuntimeError):
@@ -165,12 +167,12 @@ def check_integral_bound(
     reports: list[EnergyReport],
     domain: DomainSpec,
     params: ModelParams,
-    n_s_samples: int = 20,
 ) -> EstimateSuite:
     """Estimate the decay-chain constants from one completed stable run.
 
-    S values are sampled evenly among reports with E above the energy
-    floor in the first half of the run; T is the final report time.
+    Up to ``N_S_SAMPLES`` S values are sampled evenly among reports with E
+    above the energy floor in the first half of the run; T is the final
+    report time.
     """
     c = _columns(reports)
     t, E, I, grad, lg = c["t"], c["E"], c["I"], c["grad_sq"], c["lgamma"]
@@ -191,7 +193,7 @@ def check_integral_bound(
     candidates = np.where(valid & (t <= t[-1] / 2.0))[0]
     candidates = candidates[candidates < len(t) - 1]
     if candidates.size:
-        take = candidates[np.linspace(0, candidates.size - 1, min(n_s_samples, candidates.size)).astype(int)]
+        take = candidates[np.linspace(0, candidates.size - 1, min(N_S_SAMPLES, candidates.size)).astype(int)]
         # E = inf gives inf / inf = nan, a FAIL rather than a warning
         with np.errstate(invalid="ignore"):
             ratios = [float(np.trapezoid(E[i:], t[i:]) / E[i]) for i in take]
@@ -349,8 +351,8 @@ def continuous_dependence(
     u1: ModalField,
     cfg: SolverConfig,
     params: ModelParams,
-    epsilons: tuple[float, ...] = (1e-3, 1e-4),
-    seed: int = 0,
+    epsilons: tuple[float, ...],
+    seed: int,
 ) -> DependenceReport:
     """Compare the base trajectory against perturbed ones.
 

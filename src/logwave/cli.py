@@ -14,7 +14,8 @@ left out or null takes the default, and one without a default is required.
     outputs: csv_path="trajectory.csv", json_path="summary.json"
     study:   m_list=[4,8,16], epsilons=[1e-3,1e-4]
 
-Seeds and trial_count are nonnegative integers.  Unknown keys are rejected.
+Seeds and trial_count are nonnegative integers; scheme, type, path,
+csv_path and json_path take only strings.  Unknown keys are rejected.
 Exit codes: 0 success, 2 configuration or data error, 3 blow-up, 4 mandatory
 check failure.
 """
@@ -116,11 +117,14 @@ def _count(value, path: str) -> int:
 
 
 def _string(value, path: str) -> str:
-    return str(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"'{path}' must be a string, got {value!r}")
+    return value
 
 
 def _unchecked(value, path: str):
-    """A value that a cross-key rule of ``parse_config`` checks."""
+    """A value that a cross-key rule of ``parse_config`` checks: ``initial.mode``,
+    whose length and range depend on ``domain``."""
     return value
 
 
@@ -154,7 +158,7 @@ _SCHEMA = {
     "solver": (SolverConfig, {"dt": _number, "t_end": _number, "scheme": _string,
                               "blowup_threshold": _number, "report_every": _integer}),
     "initial": (InitialSpec, {"type": _string, "amplitude": _number, "mode": _unchecked,
-                              "seed": _count, "path": _unchecked}),
+                              "seed": _count, "path": _string}),
     "well": (WellSpec, {"trial_count": _count, "safety": _number, "seed": _count}),
     "outputs": (OutputSpec, {"csv_path": _string, "json_path": _string}),
     "study": (StudySpec, {"m_list": _m_list, "epsilons": _epsilons}),
@@ -221,7 +225,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("missing required key 'initial.path' for type=file")
         values.setdefault("amplitude", 1.0)
     if path:
-        values["path"] = str(path)
+        values["path"] = path
     mode = values.get("mode", [1] * domain.dim)
     if (not isinstance(mode, list) or len(mode) != domain.dim
             or not all(isinstance(k, int) and not isinstance(k, bool) for k in mode)):
@@ -377,10 +381,10 @@ def _well_depth(cfg: RunConfig) -> dict:
     ``{d_hat, safety, trials}`` block of the summary."""
     trials, labels = default_trial_family(cfg.domain, cfg.well.trial_count,
                                           cfg.well.seed)
-    depth = estimate_depth(trials, cfg.model, cfg.well.safety, labels)
+    depth = estimate_depth(trials, cfg.model, labels)
     return {
         "d_hat": depth.d_hat,
-        "safety": depth.safety,
+        "safety": cfg.well.safety,
         "trials": [
             {"label": lab, "lambda_star": ls, "j_max": jm}
             for lab, ls, jm in depth.trials
@@ -397,20 +401,19 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     try:
         dual_norm = source_dual_norm(u0, cfg.model) if cfg.model.source_enabled else None
     except ValueError as exc:
-        raise ConfigError(
-            f"'initial.amplitude' ({cfg.initial.amplitude:g}) puts the initial "
-            f"source out of floating-point range: {exc}"
-        ) from exc
+        raise ConfigError(f"{_initial_key(cfg.initial)} puts the initial source out "
+                          f"of floating-point range: {exc}") from exc
     verdict = stable_set_check(u0, u1, depth["d_hat"], cfg.well.safety, cfg.model)
     if not quiet:
         print(f"well depth estimate d_hat={depth['d_hat']:.6g} "
               f"(threshold {verdict.threshold:.6g}); stable set: {verdict.status}")
 
     result = integrate(u0, u1, cfg.solver, cfg.model)
+    t_max = result.final.t if result.status == BLOWUP else None
     summary = {
         "command": "run",
         "status": result.status,
-        "t_max": result.t_max,
+        "t_max": t_max,
         "well_depth": depth,
         "stable_set": asdict(verdict),
         "E0": result.reports[0].E,
@@ -427,7 +430,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         summary["exit_code"] = EXIT_BLOWUP
         write_json(json_path, summary)
         if not quiet:
-            print(f"BLOWUP at t={result.t_max:.6g}; wrote {csv_path} and {json_path}")
+            print(f"BLOWUP at t={t_max:.6g}; wrote {csv_path} and {json_path}")
         return EXIT_BLOWUP
 
     checks, extras = run_checks(result.reports, cfg.domain, cfg.model, verdict)
@@ -467,10 +470,8 @@ def cmd_converge(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 def cmd_depend(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     _, json_path = _out_paths(cfg, out_dir)
     u0, u1 = build_initial(cfg)
-    report = continuous_dependence(
-        u0, u1, cfg.solver, cfg.model,
-        epsilons=cfg.study.epsilons, seed=cfg.initial.seed,
-    )
+    report = continuous_dependence(u0, u1, cfg.solver, cfg.model,
+                                   cfg.study.epsilons, cfg.initial.seed)
     write_json(json_path, {"command": "depend", **asdict(report)})
     if not quiet:
         print(f"dependence status={report.status} "

@@ -230,11 +230,6 @@ class ModalField:
             raise ValueError("fields live on different domains")
         return ModalField(self.domain, self.coeffs - other.coeffs)
 
-    def __mul__(self, factor: float) -> "ModalField":
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
 
 def synthesize(domain: DomainSpec, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate modal coefficients on the quadrature grid (raw arrays).

@@ -15,10 +15,10 @@ All pointwise log work (the source, the two moments and the dual norm of
 the source) goes through one kernel, ``_pow_log``, which takes one log per
 grid point and builds |s|^p from it as exp(p ln|s|) unless p is an integer
 from 1 to 4.  The kernel writes into two grid buffers and its callers
-multiply into them in place.  ``energy`` synthesizes u into the first
-array of ``DomainSpec.scratch`` and hands the kernel the other two, as
-``solver.step`` and ``well.fiber_moments`` do, so no report allocates a
-grid-sized array.
+multiply into them in place.  ``field_log_moments`` synthesizes u into
+the first array of ``DomainSpec.scratch`` and hands the kernel the other
+two, as ``solver.step`` does for the source, so neither a report of
+``energy`` nor ``well.fiber_moments`` allocates a grid-sized array.
 """
 
 from __future__ import annotations
@@ -187,6 +187,13 @@ def log_moments(values: np.ndarray, quad_weight: float, gamma: float,
     return lgamma, logterm
 
 
+def field_log_moments(u: ModalField, gamma: float) -> tuple[float, float]:
+    """``log_moments`` of u, synthesized and taken in its domain's scratch."""
+    scratch = u.domain.scratch
+    values = synthesize(u.domain, u.coeffs, out=scratch[0])
+    return log_moments(values, u.domain.quad_weight, gamma, scratch[1:])
+
+
 def _require_finite(f: ModalField, name: str):
     if not f.is_finite:
         raise ValueError(f"{name} contains non-finite coefficients")
@@ -203,9 +210,7 @@ def energy(u: ModalField, ut: ModalField, params: ModelParams) -> EnergyReport:
     cross = l2_inner(u, ut)
     g = params.gamma
     if params.source_enabled:
-        scratch = u.domain.scratch
-        values = synthesize(u.domain, u.coeffs, out=scratch[0])
-        lgamma, logterm = log_moments(values, u.domain.quad_weight, g, scratch[1:])
+        lgamma, logterm = field_log_moments(u, g)
     else:
         lgamma = logterm = 0.0
     J = 0.5 * grad_sq - logterm / g + lgamma / g ** 2

@@ -89,7 +89,6 @@ class IntegrationResult:
     reports: list[EnergyReport]
     final: SimState
     status: str
-    t_max: float | None = None
     states: list[SimState] | None = None
 
 
@@ -174,9 +173,10 @@ def integrate(
 
     A report (and, when requested, a state snapshot) is emitted at t = 0 and
     every ``report_every`` steps.  Integration stops early with BLOWUP
-    status when the divergence detector fires; the first offending time is
-    recorded as the maximal-existence-time estimate.  An E(0) that is not
-    finite raises ``InitialEnergyError``: the energy ledger is relative to it.
+    status when the divergence detector fires; the time of the final state
+    is then the first offending time, the maximal-existence-time estimate.
+    An E(0) that is not finite raises ``InitialEnergyError``: the energy
+    ledger is relative to it.
     """
     if u0.domain != u1.domain:
         raise ValueError("u0 and u1 live on different domains")
@@ -204,7 +204,7 @@ def integrate(
         state = SimState(ModalField(dom, a), ModalField(dom, b), n * cfg.dt, damp)
         if status == BLOWUP:
             return IntegrationResult(reports=reports, final=state, status=BLOWUP,
-                                     t_max=state.t, states=states)
+                                     states=states)
         rep = energy(state.u, state.ut, params)
         reports.append(replace(rep, t=state.t, damping_integral=damp,
                                identity_residual=rep.E + damp - rep0.E))

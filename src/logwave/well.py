@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSpec, ModalField, grad_norm_sq, random_band_limited, synthesize
-from .functionals import ModelParams, energy, log_moments
+from .domain import DomainSpec, ModalField, grad_norm_sq, random_band_limited
+from .functionals import ModelParams, energy, field_log_moments
 
 
 class DegenerateFieldError(ValueError):
@@ -74,15 +74,11 @@ class WellDepthEstimate:
     """Upper estimate of the well depth from a trial family.
 
     ``trials`` holds one (label, lambda_star, j_max) triple per trial;
-    ``d_hat`` is the minimum of the fibering suprema.  ``safety`` is the
-    factor theta applied when testing E(0) < theta * d_hat: d_hat only
-    bounds the true depth from above, so membership verdicts derived from
-    it are conservative suggestions, not certificates.
+    ``d_hat`` is the minimum of the fibering suprema.
     """
 
     d_hat: float
     trials: tuple[tuple[str, float, float], ...]
-    safety: float
 
 
 @dataclass(frozen=True)
@@ -96,11 +92,8 @@ class StableSetVerdict:
 
 def fiber_moments(u: ModalField, params: ModelParams) -> FiberMoments:
     """The moments (A, B, G) of u, computed in the scratch of u's domain."""
-    A = grad_norm_sq(u)
-    scratch = u.domain.scratch
-    values = synthesize(u.domain, u.coeffs, out=scratch[0])
-    G, B = log_moments(values, u.domain.quad_weight, params.gamma, scratch[1:])
-    return FiberMoments(A=A, B=B, G=G)
+    G, B = field_log_moments(u, params.gamma)
+    return FiberMoments(A=grad_norm_sq(u), B=B, G=G)
 
 
 def _positive_lambda(lam) -> np.ndarray:
@@ -169,7 +162,7 @@ def project_to_nehari(u: ModalField, params: ModelParams) -> tuple[float, float]
 
 
 def default_trial_family(
-    domain: DomainSpec, count: int = 32, seed: int = 0
+    domain: DomainSpec, count: int, seed: int
 ) -> tuple[list[ModalField], list[str]]:
     """First eigenfunction plus ``count`` random band-limited trials."""
     fields = [ModalField.eigenmode(domain, (1,) * domain.dim)]
@@ -184,14 +177,11 @@ def default_trial_family(
 def estimate_depth(
     trials: list[ModalField],
     params: ModelParams,
-    safety: float = 0.5,
     labels: list[str] | None = None,
 ) -> WellDepthEstimate:
     """Upper-estimate the well depth as the minimal fibering supremum."""
     if not trials:
         raise ValueError("trial family is empty")
-    if not 0 < safety <= 1:
-        raise ValueError(f"safety must lie in (0, 1], got {safety}")
     if labels is None:
         labels = [f"trial-{i:02d}" for i in range(len(trials))]
     if len(labels) != len(trials):
@@ -205,7 +195,7 @@ def estimate_depth(
             raise DegenerateFieldError(f"trial {label}: nonpositive fibering supremum")
         rows.append((label, lambda_star, j_max))
     d_hat = min(r[2] for r in rows)
-    return WellDepthEstimate(d_hat=d_hat, trials=tuple(rows), safety=safety)
+    return WellDepthEstimate(d_hat=d_hat, trials=tuple(rows))
 
 
 def stable_set_check(
@@ -217,8 +207,11 @@ def stable_set_check(
 ) -> StableSetVerdict:
     """Test I(u0) > 0 and E(0) < safety * d_hat.
 
-    The zero field is excluded from the stable set by convention (it is the
-    trivial solution); the verdict flags it explicitly.
+    ``safety`` is the factor theta in (0, 1] applied to d_hat, which only
+    bounds the true depth from above, so the verdict is a conservative
+    suggestion, not a certificate.  The zero field is excluded from the
+    stable set by convention (it is the trivial solution); the verdict
+    flags it explicitly.
     """
     if not d_hat > 0:
         raise ValueError(f"d_hat must be positive, got {d_hat}")

@@ -81,7 +81,7 @@ def run_t40():
 @pytest.fixture(scope="module")
 def well_depth():
     trials, labels = default_trial_family(DOMAIN, count=32, seed=0)
-    return estimate_depth(trials, PARAMS, SAFETY, labels)
+    return estimate_depth(trials, PARAMS, labels)
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +160,8 @@ def test_05_exponential_decay(run_base, run_gamma55):
 
 
 def test_06_integral_estimate(run_base, run_t40):
-    s20 = check_integral_bound(run_base.reports, DOMAIN, PARAMS, n_s_samples=20)
-    s40 = check_integral_bound(run_t40.reports, DOMAIN, PARAMS, n_s_samples=20)
+    s20 = check_integral_bound(run_base.reports, DOMAIN, PARAMS)
+    s40 = check_integral_bound(run_t40.reports, DOMAIN, PARAMS)
     drift = abs(s40.c0_hat - s20.c0_hat) / s20.c0_hat
     ok = (math.isfinite(s20.c0_hat) and s20.n_s_samples == 20
           and math.isfinite(s40.c0_hat) and drift <= 0.05)

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import logwave
 from logwave.cli import (
+    _SCHEMA,
     EXIT_BLOWUP,
     EXIT_CHECKS,
     EXIT_CONFIG,
@@ -99,6 +102,43 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(doc))
         assert str(info.value).startswith(f"'{section}.{key}' must")
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("outputs", "csv_path", 3), ("outputs", "json_path", ["a"]), ("solver", "scheme", 3),
+        ("initial", "type", False), ("initial", "path", 0),
+    ])
+    def test_string_keys_take_only_strings(self, tmp_path, capsys, section, key, value):
+        # str() would turn these into a file named '3' or drop the path
+        cfg = fast_run_config(tmp_path, **{section: {key: value}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: '{section}.{key}' must be a string, got {value!r}\n")
+        assert not out.exists()
+
+    def test_docstring_defaults_match_the_dataclasses(self):
+        # logwave.cli.__doc__ lists every default for users; its dataclass
+        # field owns the value
+        documented = {}
+        section = None
+        for line in logwave.cli.__doc__.splitlines():
+            if not line.startswith("    "):  # the indented block of sections
+                continue
+            head, _, body = line.strip().partition(":")
+            if head in _SCHEMA:
+                section, line = head, body
+            for key, value in re.findall(r'(\w+)=("[^"]*"|\[[^]]*\]|[^,\s]+)', line):
+                documented[f"{section}.{key}"] = value
+        del documented["initial.mode"]  # [1,...]: its length is domain.dim
+        defaults = {f"{name}.{f.name}": f.default
+                    for name, (cls, readers) in _SCHEMA.items()
+                    for f in fields(cls)
+                    if f.name in readers and f.default not in (MISSING, None)}
+        assert sorted(documented) == sorted(defaults)
+        for key, text in documented.items():
+            value = json.loads(text)
+            value = tuple(value) if isinstance(value, list) else value
+            assert (type(value), value) == (type(defaults[key]), defaults[key]), key
 
     def test_gamma_window_enforced(self):
         doc = dict(MINIMAL, model={"gamma": 3.5})
@@ -241,6 +281,17 @@ class TestBuildInitial:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: 'initial.path' ({npz}): 'u1'")
         assert err.count("\n") == 1
+
+    def test_from_file_overflowing_source_names_path(self, tmp_path, capsys):
+        # the norms are finite, but |u|^(g-1) ln|u| of the dual norm is not
+        npz = tmp_path / "init.npz"
+        np.savez(npz, u0=np.full((2, 2, 2), 1e100))
+        cfg = fast_run_config(tmp_path, domain={"modes_per_dim": 2},
+                              initial={"type": "file", "path": str(npz)})
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: 'initial.path' ({npz}) puts the initial source "
+                              "out of floating-point range")
 
     def test_from_missing_file(self, tmp_path):
         cfg = fast_run_config(tmp_path, initial={"type": "file",

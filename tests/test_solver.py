@@ -220,8 +220,7 @@ class TestBlowupScan:
         u0 = ModalField.eigenmode(dom, (1,), 10.0)
         result = integrate(u0, ModalField.zeros(dom), cfg, params_1d())
         assert result.status == BLOWUP
-        assert result.t_max is not None and result.t_max < 20.0
-        assert result.final.t == pytest.approx(result.t_max)
+        assert result.final.t < 20.0
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +320,7 @@ class TestIntegrate:
         assert np.array_equal(final.u.coeffs, a) and np.array_equal(final.ut.coeffs, b)
         assert final.t == n * dt and final.damping_integral == damp
         if status == BLOWUP:
-            assert result.t_max == n * dt
+            assert result.final.t == n * dt
         else:
             assert result.final is final
 
@@ -345,8 +344,9 @@ class TestWorkspace:
     @pytest.mark.parametrize("gamma", [4.0, 5.5])
     def test_allocation_per_step_and_report(self, gamma):
         # at m=16 a fresh grid array is mapped anew from the operating system
-        # on every call; given the workspace, a step allocates about the
-        # transforms' intermediates and a report less than one grid
+        # on every call; the grid work and the 3-D transform products live in
+        # the domain's buffers, so a step allocates only its modal
+        # temporaries (0.75 of a grid at m=16) and a report less than one grid
         dom = DomainSpec(3, np.pi, 16)
         params = ModelParams(gamma, 3)
         cfg = SolverConfig(dt=1e-3)
