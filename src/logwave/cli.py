@@ -470,8 +470,10 @@ def cmd_converge(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 def cmd_depend(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     _, json_path = _out_paths(cfg, out_dir)
     u0, u1 = build_initial(cfg)
-    report = continuous_dependence(u0, u1, cfg.solver, cfg.model,
-                                   cfg.study.epsilons, cfg.initial.seed)
+    report = continuous_dependence(
+        u0, u1, cfg.solver, cfg.model,
+        epsilons=cfg.study.epsilons, seed=cfg.initial.seed,
+    )
     write_json(json_path, {"command": "depend", **asdict(report)})
     if not quiet:
         print(f"dependence status={report.status} "
