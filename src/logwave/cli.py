@@ -393,16 +393,17 @@ def _well_depth(cfg: RunConfig) -> dict:
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    csv_path, json_path = _out_paths(cfg, out_dir)
-    depth = _well_depth(cfg)
+    # bad initial data exits before any output directory or projection;
+    # the range test comes before the stable-set test, whose energy would
+    # overflow (with warnings) on the same data
     u0, u1 = build_initial(cfg)
-    # before the stable-set test, whose energy would overflow (with warnings)
-    # on the same data
     try:
         dual_norm = source_dual_norm(u0, cfg.model) if cfg.model.source_enabled else None
     except ValueError as exc:
         raise ConfigError(f"{_initial_key(cfg.initial)} puts the initial source out "
                           f"of floating-point range: {exc}") from exc
+    csv_path, json_path = _out_paths(cfg, out_dir)
+    depth = _well_depth(cfg)
     verdict = stable_set_check(u0, u1, depth["d_hat"], cfg.well.safety, cfg.model)
     if not quiet:
         print(f"well depth estimate d_hat={depth['d_hat']:.6g} "
@@ -455,8 +456,8 @@ def cmd_welldepth(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
 
 def cmd_converge(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    _, json_path = _out_paths(cfg, out_dir)
     u0, u1 = build_initial(cfg)
+    _, json_path = _out_paths(cfg, out_dir)
     study = convergence_study(u0, u1, cfg.solver, cfg.model, list(cfg.study.m_list))
     write_json(json_path, {"command": "converge", **asdict(study)})
     if not quiet:
@@ -468,8 +469,8 @@ def cmd_converge(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
 
 def cmd_depend(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    _, json_path = _out_paths(cfg, out_dir)
     u0, u1 = build_initial(cfg)
+    _, json_path = _out_paths(cfg, out_dir)
     report = continuous_dependence(
         u0, u1, cfg.solver, cfg.model,
         epsilons=cfg.study.epsilons, seed=cfg.initial.seed,

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSpec, ModalField, grad_norm_sq, random_band_limited
+from .domain import DomainSpec, ModalField, grad_norm_sq
 from .functionals import ModelParams, energy, field_log_moments
 
 
@@ -98,8 +98,13 @@ def fiber_moments(u: ModalField, params: ModelParams) -> FiberMoments:
 
 def _positive_lambda(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
-    # min and max are NaN when any entry is, and NaN fails every comparison
-    if not 0.0 < lam.min() <= lam.max() < math.inf:
+    # min and max are NaN when any entry is, and NaN fails every comparison;
+    # a scalar, as every projection passes, skips the two reductions
+    if lam.ndim == 0:
+        positive = 0.0 < float(lam) < math.inf
+    else:
+        positive = 0.0 < lam.min() <= lam.max() < math.inf
+    if not positive:
         raise ValueError("lambda must be positive and finite")
     return lam
 
@@ -164,13 +169,19 @@ def project_to_nehari(u: ModalField, params: ModelParams) -> tuple[float, float]
 def default_trial_family(
     domain: DomainSpec, count: int, seed: int
 ) -> tuple[list[ModalField], list[str]]:
-    """First eigenfunction plus ``count`` random band-limited trials."""
+    """First eigenfunction plus ``count`` random band-limited trials.
+
+    The trials come from one draw of shape (count, *modal_shape), which
+    gives the bits of ``count`` sequential ``random_band_limited`` draws from
+    the same generator.  The block is read-only, so each trial's field holds
+    a row of it without a copy.
+    """
     fields = [ModalField.eigenmode(domain, (1,) * domain.dim)]
     labels = ["eigenmode-1"]
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        fields.append(random_band_limited(domain, rng))
-        labels.append(f"random-{i:02d}")
+    block = np.random.default_rng(seed).standard_normal((count, *domain.modal_shape))
+    block.flags.writeable = False
+    fields += [ModalField(domain, row) for row in block]
+    labels += [f"random-{i:02d}" for i in range(count)]
     return fields, labels
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logwave
+from logwave import well
 from logwave.cli import (
     _SCHEMA,
     EXIT_BLOWUP,
@@ -297,6 +298,29 @@ class TestBuildInitial:
         cfg = fast_run_config(tmp_path, initial={"type": "file",
                                                  "path": str(tmp_path / "absent.npz")})
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "converge", "depend"])
+    def test_missing_file_exits_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # the initial data are read before the output directory is made and
+        # before the well depth is estimated
+        calls = []
+        project = well.project_to_nehari
+
+        def counted(*args):
+            calls.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(well, "project_to_nehari", counted)
+        cfg = fast_run_config(tmp_path, initial={"type": "file",
+                                                 "path": str(tmp_path / "absent.npz")})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("data error: 'initial.path' (")
+        assert not out.exists()
+        assert calls == []
+        # the wrapper does see the projections of a run that gets going
+        assert main(["welldepth", "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_OK
+        assert len(calls) == 3
 
 
 class TestCmdRun:

@@ -48,6 +48,20 @@ def sine_sum_analysis(dom: DomainSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def batched_synthesis(dom: DomainSpec, coeffs: np.ndarray) -> np.ndarray:
+    """3-D synthesis whose first product is m batched (m, m) @ S^T products."""
+    s = dom.synthesis_matrix
+    x = np.matmul(s, np.matmul(coeffs, s.T))
+    return (s @ x.reshape(dom.modes_per_dim, -1)).reshape(dom.grid_shape)
+
+
+def batched_analysis(dom: DomainSpec, values: np.ndarray) -> np.ndarray:
+    """3-D analysis whose first product is N batched (N, N) @ A^T products."""
+    a = dom.analysis_matrix
+    x = np.matmul(a, np.matmul(values, a.T))
+    return (a @ x.reshape(dom.grid_per_dim, -1)).reshape(dom.modal_shape)
+
+
 def max_rel_err(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(got - ref).max() / np.abs(ref).max())
 
@@ -73,6 +87,17 @@ class TestDomainSpec:
         assert dom.grid_spacing == pytest.approx(2.0 / 13)
         assert dom.quad_weight == pytest.approx((2.0 / 13) ** 2)
         assert dom.mode_norm_sq == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("m", [1, 5, 8, 16])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_work_arrays_start_on_64_byte_boundaries(self, dim, m):
+        dom = DomainSpec(dim, np.pi, m)
+        n = dom.grid_per_dim
+        arrays = (*dom.scratch, *dom._transform_scratch)
+        assert [a.shape for a in arrays] == [dom.grid_shape] * 3 + [(m * m * n,), (m * n * n,)]
+        assert all(a.flags.c_contiguous and a.ctypes.data % 64 == 0 for a in arrays)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
     def test_eigenvalue_monotonicity(self):
         dom = DomainSpec(3, 1.7, 5)
@@ -174,6 +199,24 @@ class TestTransforms:
         coeffs = data.draw(hnp.arrays(float, dom.modal_shape, elements=element))
         back = analyze(dom, synthesize(dom, coeffs))
         assert np.abs(back - coeffs).max() <= TRANSFORM_RTOL * np.abs(coeffs).max()
+
+    @settings(deadline=None)
+    @given(m=st.integers(1, 12), oversample=st.integers(2, 3),
+           exponents=st.lists(st.floats(-150, 150), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_3d_transforms_give_the_batched_bits(self, m, oversample, exponents, seed):
+        # the merged-axes GEMM of synthesize against the batched products
+        dom = DomainSpec(3, 2.3, m, oversample)
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(exponents)
+
+        def draw(shape):
+            return rng.standard_normal(shape) * 10.0 ** rng.uniform(lo, hi, shape)
+
+        coeffs = draw(dom.modal_shape)
+        assert synthesize(dom, coeffs).tobytes() == batched_synthesis(dom, coeffs).tobytes()
+        values = draw(dom.grid_shape)
+        assert analyze(dom, values).tobytes() == batched_analysis(dom, values).tobytes()
 
     def test_shape_mismatch(self):
         dom = DomainSpec(2, np.pi, 4)

@@ -139,6 +139,19 @@ class TestFiberMaps:
             with pytest.raises(ValueError, match="lambda must be positive"):
                 fiber(m, lam, 4.0)
 
+    @pytest.mark.parametrize("fiber", [fiber_J, fiber_I])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("form", [float, np.array, lambda x: np.array([x])],
+                             ids=["float", "0-d", "1-element"])
+    def test_every_scalar_form_refuses_alike(self, fiber, bad, form):
+        # a scalar lambda skips the array reductions, with the same verdict
+        m = FiberMoments(A=1.0, B=1.0, G=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                fiber(m, form(bad), 4.0)
+        assert str(err.value) == "lambda must be positive and finite"
+
     def test_derivative_consistency(self):
         # lambda dJ/dlambda = I on a log grid, by central differences
         m = FiberMoments(A=2.3, B=-0.4, G=1.7)
@@ -216,6 +229,33 @@ class TestProjection:
         dom = DomainSpec(3, np.pi, 4)
         with pytest.raises(DegenerateFieldError):
             project_to_nehari(ModalField.zeros(dom), PARAMS)
+
+
+class TestTrialFamily:
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_draw_gives_the_sequential_bits(self, dim, count):
+        dom = DomainSpec(dim, np.pi, 4)
+        fields, labels = default_trial_family(dom, count, seed=3)
+        # the oracle: one random_band_limited draw per trial
+        expected = [ModalField.eigenmode(dom, (1,) * dim)]
+        expected_labels = ["eigenmode-1"]
+        rng = np.random.default_rng(3)
+        for i in range(count):
+            expected.append(random_band_limited(dom, rng))
+            expected_labels.append(f"random-{i:02d}")
+        assert labels == expected_labels
+        assert len(fields) == len(expected)
+        for got, want in zip(fields, expected):
+            assert got.domain == dom
+            assert got.coeffs.shape == dom.modal_shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_trials_are_read_only(self):
+        fields, _ = default_trial_family(DomainSpec(3, np.pi, 4), 3, seed=0)
+        for trial in fields:
+            with pytest.raises(ValueError):
+                trial.coeffs[0, 0, 0] = 1.0
 
 
 class TestEstimateDepth:
