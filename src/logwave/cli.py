@@ -15,7 +15,9 @@ left out or null takes the default, and one without a default is required.
     study:   m_list=[4,8,16], epsilons=[1e-3,1e-4]
 
 Seeds and trial_count are nonnegative integers; scheme, type, path,
-csv_path and json_path take only strings.  Unknown keys are rejected.
+csv_path and json_path take only strings.  csv_path and json_path are two
+distinct bare file names, both written in --output-dir.  Unknown keys are
+rejected.
 Exit codes: 0 success, 2 configuration or data error, 3 blow-up, 4 mandatory
 check failure.
 """
@@ -241,9 +243,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"'well.safety' must lie in (0, 1], got {well.safety}")
 
     outputs = _build("outputs", _read(doc, "outputs"))
+    # both files go in --output-dir, and neither may replace the other
     for key, name in asdict(outputs).items():
-        if Path(name).name in ("", ".."):
-            raise ConfigError(f"'outputs.{key}' must name a file, got {name!r}")
+        if name in ("", "..") or Path(name).name != name:
+            raise ConfigError(f"'outputs.{key}' must be a bare file name, got {name!r}")
+    if outputs.json_path == outputs.csv_path:
+        raise ConfigError(f"'outputs.json_path' must differ from 'outputs.csv_path', "
+                          f"got {outputs.json_path!r} for both")
 
     study = _build("study", _read(doc, "study"))
     try:
@@ -357,23 +363,11 @@ def read_csv(path: Path) -> list[EnergyReport]:
 
 
 # ---------------------------------------------------------------------------
-# verification output (the table itself is ``analysis.CHECKS``)
+# subcommands: each computes its result and writes no file; only ``main``
+# makes the output directory, writes the files and prints the closing line
 
-def _emit(checks: list[dict], quiet: bool):
-    if quiet:
-        return
-    for c in checks:
-        measured = "n/a" if c["measured"] is None else f"{c['measured']:.6g}"
-        tol = "n/a" if c["tolerance"] is None else f"{c['tolerance']:.6g}"
-        print(f"{c['status']:4s} {c['name']} measured={measured} tolerance={tol}")
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-def _out_paths(cfg: RunConfig, out_dir: Path) -> tuple[Path, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / cfg.outputs.csv_path, out_dir / cfg.outputs.json_path
+# (exit code, summary, closing note or None for no closing line, trajectory or None)
+_Result = tuple[int, dict, str | None, list[EnergyReport] | None]
 
 
 def _well_depth(cfg: RunConfig) -> dict:
@@ -392,17 +386,16 @@ def _well_depth(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    # bad initial data exits before any output directory or projection;
-    # the range test comes before the stable-set test, whose energy would
-    # overflow (with warnings) on the same data
+def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
+    # bad initial data exits before any projection; the range test comes
+    # before the stable-set test, whose energy would overflow (with warnings)
+    # on the same data
     u0, u1 = build_initial(cfg)
     try:
         dual_norm = source_dual_norm(u0, cfg.model) if cfg.model.source_enabled else None
     except ValueError as exc:
         raise ConfigError(f"{_initial_key(cfg.initial)} puts the initial source out "
                           f"of floating-point range: {exc}") from exc
-    csv_path, json_path = _out_paths(cfg, out_dir)
     depth = _well_depth(cfg)
     verdict = stable_set_check(u0, u1, depth["d_hat"], cfg.well.safety, cfg.model)
     if not quiet:
@@ -424,78 +417,48 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
                   "rho": cfg.model.rho, "mu": cfg.model.mu,
                   "source_dual_norm_initial": dual_norm},
     }
-    write_csv(csv_path, result.reports)
-
     if result.status == BLOWUP:
-        summary["checks"] = []
-        summary["exit_code"] = EXIT_BLOWUP
-        write_json(json_path, summary)
-        if not quiet:
-            print(f"BLOWUP at t={t_max:.6g}; wrote {csv_path} and {json_path}")
-        return EXIT_BLOWUP
+        summary.update(checks=[], exit_code=EXIT_BLOWUP)
+        return EXIT_BLOWUP, summary, f"BLOWUP at t={t_max:.6g}", result.reports
 
     checks, extras = run_checks(result.reports, cfg.domain, cfg.model, verdict)
-    summary.update(extras)
-    summary["checks"] = checks
-    ok = mandatory_ok(checks)
-    summary["exit_code"] = EXIT_OK if ok else EXIT_CHECKS
-    write_json(json_path, summary)
-    _emit(checks, quiet)
-    if not quiet:
-        print(f"wrote {csv_path} and {json_path}")
-    return EXIT_OK if ok else EXIT_CHECKS
+    code = EXIT_OK if mandatory_ok(checks) else EXIT_CHECKS
+    summary.update(extras, checks=checks, exit_code=code)
+    return code, summary, "", result.reports
 
 
-def cmd_welldepth(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    _, json_path = _out_paths(cfg, out_dir)
+def cmd_welldepth(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
     depth = _well_depth(cfg)
-    write_json(json_path, {"command": "welldepth", **depth})
-    if not quiet:
-        print(f"d_hat={depth['d_hat']:.12g} over {len(depth['trials'])} trials; wrote {json_path}")
-    return EXIT_OK
+    return (EXIT_OK, {"command": "welldepth", **depth},
+            f"d_hat={depth['d_hat']:.12g} over {len(depth['trials'])} trials", None)
 
 
-def cmd_converge(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+def cmd_converge(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
     u0, u1 = build_initial(cfg)
-    _, json_path = _out_paths(cfg, out_dir)
     study = convergence_study(u0, u1, cfg.solver, cfg.model, list(cfg.study.m_list))
-    write_json(json_path, {"command": "converge", **asdict(study)})
-    if not quiet:
-        print(f"convergence {'PASS' if study.passed else 'FAIL'} "
-              f"E_diffs={list(study.E_diffs)}; wrote {json_path}")
-    if study.status == BLOWUP:
-        return EXIT_BLOWUP
-    return EXIT_OK if study.passed else EXIT_CHECKS
+    code = EXIT_BLOWUP if study.status == BLOWUP else EXIT_OK if study.passed else EXIT_CHECKS
+    return (code, {"command": "converge", **asdict(study)},
+            f"convergence {'PASS' if study.passed else 'FAIL'} E_diffs={list(study.E_diffs)}",
+            None)
 
 
-def cmd_depend(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+def cmd_depend(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
     u0, u1 = build_initial(cfg)
-    _, json_path = _out_paths(cfg, out_dir)
     report = continuous_dependence(
         u0, u1, cfg.solver, cfg.model,
         epsilons=cfg.study.epsilons, seed=cfg.initial.seed,
     )
-    write_json(json_path, {"command": "depend", **asdict(report)})
-    if not quiet:
-        print(f"dependence status={report.status} "
-              f"growth_rate={report.growth_rate:.6g}; wrote {json_path}")
-    return EXIT_OK if report.status == COMPLETED else EXIT_BLOWUP
+    return (EXIT_OK if report.status == COMPLETED else EXIT_BLOWUP,
+            {"command": "depend", **asdict(report)},
+            f"dependence status={report.status} growth_rate={report.growth_rate:.6g}", None)
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    csv_path, json_path = _out_paths(cfg, out_dir)
-    reports = read_csv(csv_path)
-    checks, extras = run_checks(reports, cfg.domain, cfg.model, verdict=None)
-    ok = mandatory_ok(checks)
-    write_json(json_path, {
-        "command": "verify",
-        "csv_path": str(csv_path),
-        "checks": checks,
-        **extras,
-        "exit_code": EXIT_OK if ok else EXIT_CHECKS,
-    })
-    _emit(checks, quiet)
-    return EXIT_OK if ok else EXIT_CHECKS
+def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
+    csv_path = out_dir / cfg.outputs.csv_path
+    checks, extras = run_checks(read_csv(csv_path), cfg.domain, cfg.model, verdict=None)
+    code = EXIT_OK if mandatory_ok(checks) else EXIT_CHECKS
+    return (code, {"command": "verify", "csv_path": str(csv_path), "checks": checks,
+                   **extras, "exit_code": code}, None, None)
 
 
 _COMMANDS = {
@@ -531,14 +494,32 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    out_dir = Path(args.output_dir)
     try:
-        return _COMMANDS[args.command](cfg, Path(args.output_dir), args.quiet)
+        code, summary, note, reports = _COMMANDS[args.command](cfg, out_dir, args.quiet)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written = []
+        if reports is not None:
+            written.append(out_dir / cfg.outputs.csv_path)
+            write_csv(written[-1], reports)
+        written.append(out_dir / cfg.outputs.json_path)
+        write_json(written[-1], summary)
     except InitialEnergyError as exc:
         print(f"data error: {_initial_key(cfg.initial)}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConfigError, DegenerateFieldError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+    if not args.quiet:
+        for c in summary.get("checks", ()):
+            measured = "n/a" if c["measured"] is None else f"{c['measured']:.6g}"
+            tol = "n/a" if c["tolerance"] is None else f"{c['tolerance']:.6g}"
+            print(f"{c['status']:4s} {c['name']} measured={measured} tolerance={tol}")
+        if note is not None:
+            wrote = "wrote " + " and ".join(map(str, written))
+            print(f"{note}; {wrote}" if note else wrote)
+    return code
 
 
 if __name__ == "__main__":

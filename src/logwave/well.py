@@ -197,7 +197,10 @@ def estimate_depth(
         labels = [f"trial-{i:02d}" for i in range(len(trials))]
     if len(labels) != len(trials):
         raise ValueError("labels must match trials one to one")
-    if any(trial.domain != trials[0].domain for trial in trials):
+    # the trials of one family share one domain object; identity skips the
+    # frozen dataclass's field-by-field __eq__
+    first = trials[0].domain
+    if any(trial.domain is not first and trial.domain != first for trial in trials):
         raise ValueError("trials live on different domains")
     rows = []
     for label, trial in zip(labels, trials):

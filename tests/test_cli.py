@@ -94,7 +94,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("section,key,value", [
         ("domain", "dim", "3"), ("model", "gamma", "4"), ("solver", "report_every", 2.5),
         ("initial", "seed", "0"), ("well", "safety", [0.5]), ("outputs", "csv_path", ".."),
-        ("study", "m_list", 8),
+        ("study", "m_list", 8), ("outputs", "csv_path", "sub/t.csv"),
+        ("outputs", "json_path", "/tmp/s.json"), ("outputs", "json_path", "trajectory.csv"),
     ])
     def test_bad_value_message_names_key_first(self, section, key, value):
         # the reader's message is not wrapped again in the section's name
@@ -321,6 +322,18 @@ class TestBuildInitial:
         # the wrapper does see the projections of a run that gets going
         assert main(["welldepth", "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_OK
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("command,sections", [
+        ("verify", {}),  # no CSV to read
+        ("welldepth", {"domain": {"length": 1e-100}}),  # degenerate trial fields
+    ], ids=["verify-no-csv", "welldepth-degenerate"])
+    def test_data_error_leaves_no_output_dir(self, tmp_path, capsys, command, sections):
+        # the output directory is made only once a command has its result
+        cfg = fast_run_config(tmp_path, **sections)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
 
 
 class TestCmdRun:
