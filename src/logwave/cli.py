@@ -16,8 +16,9 @@ left out or null takes the default, and one without a default is required.
 
 Seeds and trial_count are nonnegative integers; scheme, type, path,
 csv_path and json_path take only strings.  csv_path and json_path are two
-distinct bare file names, both written in --output-dir.  Unknown keys are
-rejected.
+distinct bare file names, both written in --output-dir, and neither is the
+other plus ".tmp" (each file is written to its name plus ".tmp" first).
+Unknown keys are rejected.
 Exit codes: 0 success, 2 configuration or data error, 3 blow-up, 4 mandatory
 check failure.
 """
@@ -243,13 +244,16 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"'well.safety' must lie in (0, 1], got {well.safety}")
 
     outputs = _build("outputs", _read(doc, "outputs"))
-    # both files go in --output-dir, and neither may replace the other
-    for key, name in asdict(outputs).items():
+    # both files go in --output-dir, and neither may replace the other: each
+    # writer renames its '<name>.tmp' onto the name
+    names = asdict(outputs)
+    for key, name in names.items():
         if name in ("", "..") or Path(name).name != name:
             raise ConfigError(f"'outputs.{key}' must be a bare file name, got {name!r}")
-    if outputs.json_path == outputs.csv_path:
-        raise ConfigError(f"'outputs.json_path' must differ from 'outputs.csv_path', "
-                          f"got {outputs.json_path!r} for both")
+    for key, other in (("json_path", "csv_path"), ("csv_path", "json_path")):
+        if names[key] in (names[other], names[other] + ".tmp"):
+            raise ConfigError(f"'outputs.{key}' must differ from 'outputs.{other}' and its "
+                              f"'.tmp' file, got {names[key]!r}")
 
     study = _build("study", _read(doc, "study"))
     try:

@@ -96,6 +96,7 @@ class TestParseConfig:
         ("initial", "seed", "0"), ("well", "safety", [0.5]), ("outputs", "csv_path", ".."),
         ("study", "m_list", 8), ("outputs", "csv_path", "sub/t.csv"),
         ("outputs", "json_path", "/tmp/s.json"), ("outputs", "json_path", "trajectory.csv"),
+        ("outputs", "csv_path", "summary.json.tmp"),
     ])
     def test_bad_value_message_names_key_first(self, section, key, value):
         # the reader's message is not wrapped again in the section's name
