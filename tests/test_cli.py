@@ -432,6 +432,16 @@ class TestOtherCommands:
         assert code == EXIT_CONFIG
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "welldepth"])
+    def test_output_dir_naming_a_file_exits_config(self, tmp_path, capsys, command):
+        # reported once the command has its result, with the file left as it was
+        cfg = fast_run_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert main([command, "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert out.read_text() == "keep\n"
+
     def test_converge_linear_machine_precision(self, tmp_path):
         cfg = fast_run_config(
             tmp_path,
