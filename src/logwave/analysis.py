@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -72,11 +72,8 @@ class EstimateSuite:
 
 
 def _columns(reports: list[EnergyReport]) -> dict[str, np.ndarray]:
-    cols = {}
-    for name in ("t", "E", "I", "kinetic", "grad_sq", "lgamma", "cross_term",
-                 "identity_residual", "grad_ut_sq"):
-        cols[name] = np.array([getattr(r, name) for r in reports], dtype=float)
-    return cols
+    return {f.name: np.array([getattr(r, f.name) for r in reports], dtype=float)
+            for f in fields(EnergyReport)}
 
 
 def _loglinear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

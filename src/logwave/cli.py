@@ -292,7 +292,7 @@ def build_initial(cfg: RunConfig) -> tuple[ModalField, ModalField]:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"'initial.path' ({spec.path}): {exc}") from exc
         if "u0" not in arrays:
-            raise ConfigError(f"'{spec.path}' has no 'u0' array")
+            raise ConfigError(f"'initial.path' ({spec.path}): no 'u0' array")
         for name, arr in arrays.items():
             if arr.shape != dom.modal_shape:
                 raise ConfigError(
@@ -379,13 +379,13 @@ def _well_depth(cfg: RunConfig) -> dict:
     ``{d_hat, safety, trials}`` block of the summary."""
     trials, labels = default_trial_family(cfg.domain, cfg.well.trial_count,
                                           cfg.well.seed)
-    depth = estimate_depth(trials, cfg.model, labels)
+    depth = estimate_depth(trials, cfg.model)
     return {
         "d_hat": depth.d_hat,
         "safety": cfg.well.safety,
         "trials": [
             {"label": lab, "lambda_star": ls, "j_max": jm}
-            for lab, ls, jm in depth.trials
+            for lab, (ls, jm) in zip(labels, depth.trials, strict=True)
         ],
     }
 

@@ -24,7 +24,7 @@ two, as ``solver.step`` does for the source, so neither a report of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,8 +95,8 @@ class ModelParams:
 class EnergyReport:
     """One time sample of the energy ledger.
 
-    The first eleven fields are the CSV columns, in order.  kinetic is
-    1/2 ||u_t||_2^2, grad_sq is ||grad u||_2^2, lgamma is ||u||_g^g,
+    ``CSV_COLUMNS`` is every field but grad_ut_sq, in field order.  kinetic
+    is 1/2 ||u_t||_2^2, grad_sq is ||grad u||_2^2, lgamma is ||u||_g^g,
     logterm is B(u), cross_term is (u_t, u).  damping_integral and
     identity_residual are filled by the integrator; grad_ut_sq
     (||grad u_t||_2^2) is carried in memory for the pointwise Poincare
@@ -117,10 +117,7 @@ class EnergyReport:
     grad_ut_sq: float = float("nan")
 
 
-CSV_COLUMNS = (
-    "t", "E", "J", "I", "kinetic", "grad_sq", "lgamma", "logterm",
-    "cross_term", "damping_integral", "identity_residual",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(EnergyReport) if f.name != "grad_ut_sq")
 
 
 def _pow_log(s, p: float, work=None):

@@ -178,8 +178,6 @@ def integrate(
     An E(0) that is not finite raises ``InitialEnergyError``: the energy
     ledger is relative to it.
     """
-    if u0.domain != u1.domain:
-        raise ValueError("u0 and u1 live on different domains")
     dom = u0.domain
     state = SimState(u=u0, ut=u1)
     # an overflowing E(0) is reported by the test below, not by warnings

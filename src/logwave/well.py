@@ -73,12 +73,12 @@ class FiberMoments:
 class WellDepthEstimate:
     """Upper estimate of the well depth from a trial family.
 
-    ``trials`` holds one (label, lambda_star, j_max) triple per trial;
-    ``d_hat`` is the minimum of the fibering suprema.
+    ``trials`` holds one (lambda_star, j_max) pair per trial, in the
+    order of the family; ``d_hat`` is the minimum of the fibering suprema.
     """
 
     d_hat: float
-    trials: tuple[tuple[str, float, float], ...]
+    trials: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -185,30 +185,22 @@ def default_trial_family(
     return fields, labels
 
 
-def estimate_depth(
-    trials: list[ModalField],
-    params: ModelParams,
-    labels: list[str] | None = None,
-) -> WellDepthEstimate:
+def estimate_depth(trials: list[ModalField], params: ModelParams) -> WellDepthEstimate:
     """Upper-estimate the well depth as the minimal fibering supremum."""
     if not trials:
         raise ValueError("trial family is empty")
-    if labels is None:
-        labels = [f"trial-{i:02d}" for i in range(len(trials))]
-    if len(labels) != len(trials):
-        raise ValueError("labels must match trials one to one")
     # the trials of one family share one domain object; identity skips the
     # frozen dataclass's field-by-field __eq__
     first = trials[0].domain
     if any(trial.domain is not first and trial.domain != first for trial in trials):
         raise ValueError("trials live on different domains")
     rows = []
-    for label, trial in zip(labels, trials):
+    for i, trial in enumerate(trials):
         lambda_star, j_max = project_to_nehari(trial, params)
         if not j_max > 0:
-            raise DegenerateFieldError(f"trial {label}: nonpositive fibering supremum")
-        rows.append((label, lambda_star, j_max))
-    d_hat = min(r[2] for r in rows)
+            raise DegenerateFieldError(f"trial {i}: nonpositive fibering supremum")
+        rows.append((lambda_star, j_max))
+    d_hat = min(j_max for _, j_max in rows)
     return WellDepthEstimate(d_hat=d_hat, trials=tuple(rows))
 
 

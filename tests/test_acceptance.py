@@ -80,8 +80,8 @@ def run_t40():
 
 @pytest.fixture(scope="module")
 def well_depth():
-    trials, labels = default_trial_family(DOMAIN, count=32, seed=0)
-    return estimate_depth(trials, PARAMS, labels)
+    trials, _ = default_trial_family(DOMAIN, count=32, seed=0)
+    return estimate_depth(trials, PARAMS)
 
 
 @pytest.fixture(scope="module")

@@ -113,6 +113,10 @@ class TestEnergyIdentity:
         reports = synthetic_reports(ts, np.ones_like(ts), identity_residual=0.25)
         assert check_energy_identity(reports) == pytest.approx(0.25)
 
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(ValueError, match="empty trajectory"):
+            check_energy_identity([])
+
 
 class TestVirialIdentity:
     def test_zero_trajectory(self):

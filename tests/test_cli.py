@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import logwave
 from logwave import well
+from logwave.analysis import CHECKS
 from logwave.cli import (
     _SCHEMA,
     EXIT_BLOWUP,
@@ -96,7 +97,7 @@ class TestParseConfig:
         ("initial", "seed", "0"), ("well", "safety", [0.5]), ("outputs", "csv_path", ".."),
         ("study", "m_list", 8), ("outputs", "csv_path", "sub/t.csv"),
         ("outputs", "json_path", "/tmp/s.json"), ("outputs", "json_path", "trajectory.csv"),
-        ("outputs", "csv_path", "summary.json.tmp"),
+        ("outputs", "csv_path", "summary.json.tmp"), ("initial", "type", "wave"),
     ])
     def test_bad_value_message_names_key_first(self, section, key, value):
         # the reader's message is not wrapped again in the section's name
@@ -117,6 +118,19 @@ class TestParseConfig:
         assert main(["run", "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"config error: '{section}.{key}' must be a string, got {value!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "top-level document must be an object"),
+        ({"domain": 3}, "section 'domain' must be an object"),
+        (dict(MINIMAL, solver={"dt": 10 ** 400}), "'solver.dt' is out of floating-point range"),
+        (dict(MINIMAL, study={"m_list": [4, 8, 10 ** 160]}), "'study.m_list': "),
+    ], ids=["list", "section-not-object", "dt-huge-integer", "m-list-huge"])
+    def test_document_rejected_naming_the_fault(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path / "config.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
     def test_docstring_defaults_match_the_dataclasses(self):
@@ -295,6 +309,13 @@ class TestBuildInitial:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: 'initial.path' ({npz}) puts the initial source "
                               "out of floating-point range")
+
+    def test_from_file_without_u0_names_path(self, tmp_path, capsys):
+        npz = tmp_path / "init.npz"
+        np.savez(npz, u1=np.zeros((4, 4, 4)))
+        cfg = fast_run_config(tmp_path, initial={"type": "file", "path": str(npz)})
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"data error: 'initial.path' ({npz}): no 'u0' array\n"
 
     def test_from_missing_file(self, tmp_path):
         cfg = fast_run_config(tmp_path, initial={"type": "file",
@@ -492,11 +513,18 @@ class TestOtherCommands:
         assert main([command, "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
         assert "length" in capsys.readouterr().err
 
-    def test_verify_rejects_malformed_csv(self, tmp_path):
+    @pytest.mark.parametrize("content,message", [
+        (b"t,E\n0,1\n", "does not carry the expected column set"),
+        (b"\xff\xfe\x00t,E\n", "is not a CSV file"),
+        (f"{','.join(CSV_COLUMNS)}\n0,x,1,1,1,1,1,1,0,0,0\n".encode(), "malformed row"),
+        (f"{','.join(CSV_COLUMNS)}\n".encode(), "holds no samples"),
+    ], ids=["columns", "undecodable", "non-numeric", "no-rows"])
+    def test_verify_rejects_malformed_csv(self, tmp_path, capsys, content, message):
         cfg = fast_run_config(tmp_path)
-        (tmp_path / "trajectory.csv").write_text("t,E\n0,1\n")
+        (tmp_path / "trajectory.csv").write_bytes(content)
         code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
         assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_verify_flags_corrupted_ledger(self, tmp_path):
         cfg = fast_run_config(tmp_path)
@@ -539,6 +567,91 @@ class TestOtherCommands:
             assert f"FAIL {name} measured=nan" in captured.out
         assert "PASS" not in captured.out
         assert captured.err == ""
+
+
+    @pytest.mark.parametrize("sections,n_times,n_rows", [
+        # the base run blows up: nothing to compare against
+        ({"initial": {"amplitude": 20.0}, "solver": {"blowup_threshold": 50.0}}, 0, 0),
+        # the second perturbed run blows up: the base times and the first row stay
+        ({"solver": {"t_end": 0.05, "blowup_threshold": 1e3},
+          "study": {"epsilons": [1e-3, 1e6]}}, 6, 1),
+    ], ids=["base", "perturbed"])
+    def test_depend_blowup_exits_blowup(self, tmp_path, sections, n_times, n_rows):
+        cfg = fast_run_config(tmp_path, **sections)
+        assert main(["depend", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_BLOWUP
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "BLOWUP"
+        assert len(summary["times"]) == n_times
+        assert [len(row) for row in summary["D"]] == [n_times] * n_rows
+
+    def test_converge_blowup_names_the_level(self, tmp_path):
+        cfg = fast_run_config(tmp_path, initial={"amplitude": 20.0},
+                              solver={"blowup_threshold": 50.0}, study={"m_list": [2, 4]})
+        assert main(["converge", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_BLOWUP
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["status"], summary["failed_level"], summary["E_end"]) == ("BLOWUP", 0, [])
+
+
+def check_lines(summary):
+    """The check lines a command prints from its summary."""
+    def g(value):
+        return "n/a" if value is None else f"{value:.6g}"
+    return [f"{c['status']:4s} {c['name']} measured={g(c['measured'])} tolerance={g(c['tolerance'])}"
+            for c in summary["checks"]]
+
+
+class TestStdout:
+    """What each command prints without --quiet, line for line."""
+
+    def run(self, capsys, command, cfg, out, code=EXIT_OK):
+        assert main([command, "--config", cfg, "--output-dir", str(out)]) == code
+        return (capsys.readouterr().out.splitlines(),
+                json.loads((out / "summary.json").read_text()))
+
+    def test_run_then_verify(self, tmp_path, capsys):
+        cfg = fast_run_config(tmp_path)
+        out = tmp_path / "out"
+        lines, s = self.run(capsys, "run", cfg, out)
+        assert [c["name"] for c in s["checks"]] == [row.name for row in CHECKS]
+        assert lines == [
+            f"well depth estimate d_hat={s['well_depth']['d_hat']:.6g} "
+            f"(threshold {s['stable_set']['threshold']:.6g}); stable set: IN",
+            *check_lines(s),
+            f"wrote {out}/trajectory.csv and {out}/summary.json",
+        ]
+        lines, s = self.run(capsys, "verify", cfg, out)
+        assert len(lines) == len(CHECKS)
+        assert lines == check_lines(s)
+
+    def test_blowup_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "blow.json", {
+            "domain": {"dim": 1, "length": math.pi, "modes_per_dim": 16},
+            "model": {"gamma": 4.0, "unsafe_gamma": True},
+            "solver": {"dt": 1e-3, "t_end": 5.0},
+            "initial": {"amplitude": 10.0},
+            "well": {"trial_count": 1},
+        })
+        out = tmp_path / "out"
+        lines, s = self.run(capsys, "run", cfg, out, EXIT_BLOWUP)
+        assert lines == [
+            f"well depth estimate d_hat={s['well_depth']['d_hat']:.6g} "
+            f"(threshold {s['stable_set']['threshold']:.6g}); "
+            f"stable set: {s['stable_set']['status']}",
+            f"BLOWUP at t={s['t_max']:.6g}; wrote {out}/trajectory.csv and {out}/summary.json",
+        ]
+
+    @pytest.mark.parametrize("command,sections,closing", [
+        ("welldepth", {}, lambda s: f"d_hat={s['d_hat']:.12g} over 3 trials"),
+        ("converge", {"solver": {"t_end": 0.5}, "study": {"m_list": [2, 4]}},
+         lambda s: f"convergence PASS E_diffs={s['E_diffs']}"),
+        ("depend", {"solver": {"t_end": 0.5}},
+         lambda s: f"dependence status=COMPLETED growth_rate={s['growth_rate']:.6g}"),
+    ], ids=["welldepth", "converge", "depend"])
+    def test_summary_only_commands(self, tmp_path, capsys, command, sections, closing):
+        cfg = fast_run_config(tmp_path, **sections)
+        out = tmp_path / "out"
+        lines, s = self.run(capsys, command, cfg, out)
+        assert lines == [f"{closing(s)}; wrote {out}/summary.json"]
 
 
 class TestSeedOverride:

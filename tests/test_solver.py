@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 import os
 import platform
 import subprocess
@@ -24,6 +25,7 @@ from logwave.domain import (
     analyze,
     coeff_grad_norm_sq,
     grad_norm_sq,
+    l2_inner,
     random_band_limited,
     synthesize,
 )
@@ -324,6 +326,19 @@ class TestIntegrate:
         else:
             assert result.final is final
 
+    @pytest.mark.parametrize("call", [
+        lambda u, v: integrate(u, v, SolverConfig(dt=1e-2, t_end=0.1), PARAMS),
+        lambda u, v: energy(u, v, PARAMS),
+        l2_inner,
+        operator.add,
+        operator.sub,
+    ], ids=["integrate", "energy", "l2_inner", "add", "sub"])
+    def test_fields_on_different_domains_rejected(self, call):
+        u = ModalField.eigenmode(DomainSpec(3, np.pi, 4), (1, 1, 1))
+        v = ModalField.zeros(DomainSpec(3, 2 * np.pi, 4))
+        with pytest.raises(ValueError, match="different domains"):
+            call(u, v)
+
     def test_report_cadence_and_times(self, short_stable_run):
         _, runs = short_stable_run
         reports = runs[1e-3].reports
@@ -401,11 +416,11 @@ class TestWorkspace:
         scratch = dom.scratch
         a, b = self.state(dom)
         u0, u1 = ModalField(dom, a), ModalField(dom, b)
-        trials, labels = default_trial_family(dom, count=4, seed=2)
+        trials, _ = default_trial_family(dom, count=4, seed=2)
         calls = (
             lambda: integrate(u0, u1, SolverConfig(dt=1e-3, t_end=0.02, report_every=5),
                               PARAMS),
-            lambda: estimate_depth(trials, PARAMS, labels=labels),
+            lambda: estimate_depth(trials, PARAMS),
             lambda: stable_set_check(u0, u1, 1.0, 0.5, PARAMS),
         )
         for call in calls:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logwave import well
 from logwave.domain import DomainSpec, ModalField, random_band_limited
 from logwave.functionals import ModelParams
 from logwave.well import (
@@ -230,6 +231,19 @@ class TestProjection:
         with pytest.raises(DegenerateFieldError):
             project_to_nehari(ModalField.zeros(dom), PARAMS)
 
+    def test_non_finite_field_degenerate(self):
+        coeffs = np.zeros((4, 4, 4))
+        coeffs[0, 0, 0] = np.nan
+        trial = ModalField(DomainSpec(3, np.pi, 4), coeffs)
+        with pytest.raises(DegenerateFieldError, match="non-finite fibering moments"):
+            estimate_depth([trial], PARAMS)
+
+    def test_newton_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(well, "NEWTON_MAX_ITER", 0)
+        u = ModalField.eigenmode(DomainSpec(3, np.pi, 4), (1, 1, 1))
+        with pytest.raises(DegenerateFieldError, match="did not converge"):
+            project_to_nehari(u, PARAMS)
+
 
 class TestTrialFamily:
     @pytest.mark.parametrize("count", [0, 1, 7])
@@ -268,7 +282,7 @@ class TestEstimateDepth:
         dom = DomainSpec(3, np.pi, 4)
         u = ModalField.eigenmode(dom, (2, 1, 1), 0.6)
         est = estimate_depth([u, u.scaled(2.0)], PARAMS)
-        (_, _, j1), (_, _, j2) = est.trials
+        (_, j1), (_, j2) = est.trials
         assert j1 == pytest.approx(j2, rel=1e-10)
 
     def test_golden_value_first_eigenfunction(self):
@@ -276,7 +290,7 @@ class TestEstimateDepth:
         dom = DomainSpec(3, np.pi, 8, 8)
         est = estimate_depth([ModalField.eigenmode(dom, (1, 1, 1))], PARAMS)
         assert est.d_hat == pytest.approx(DEPTH_GOLDEN, rel=1e-6)
-        assert est.trials[0][1] == pytest.approx(LAMBDA_STAR_GOLDEN, rel=1e-6)
+        assert est.trials[0][0] == pytest.approx(LAMBDA_STAR_GOLDEN, rel=1e-6)
         # dual-method oracle on the semi-analytic moments reproduces it
         A = 3 * (np.pi / 2) ** 3
         G = (3 * np.pi / 8) ** 3
@@ -289,10 +303,10 @@ class TestEstimateDepth:
 
     def test_monotone_under_family_growth(self):
         dom = DomainSpec(3, np.pi, 4)
-        trials, labels = default_trial_family(dom, count=6, seed=1)
+        trials, _ = default_trial_family(dom, count=6, seed=1)
         prev = math.inf
         for n in range(1, len(trials) + 1):
-            est = estimate_depth(trials[:n], PARAMS, labels=labels[:n])
+            est = estimate_depth(trials[:n], PARAMS)
             assert est.d_hat <= prev + 1e-15
             prev = est.d_hat
 
@@ -307,8 +321,8 @@ class TestEstimateDepth:
 
         monkeypatch.setattr(DomainSpec.__dict__["scratch"], "func", counted)
         dom = DomainSpec(3, np.pi, 4)
-        trials, labels = default_trial_family(dom, count=4, seed=2)
-        est = estimate_depth(trials, PARAMS, labels=labels)
+        trials, _ = default_trial_family(dom, count=4, seed=2)
+        est = estimate_depth(trials, PARAMS)
         assert len(est.trials) == 5
         assert made == [dom]
 
