@@ -98,6 +98,7 @@ class TestParseConfig:
         ("study", "m_list", 8), ("outputs", "csv_path", "sub/t.csv"),
         ("outputs", "json_path", "/tmp/s.json"), ("outputs", "json_path", "trajectory.csv"),
         ("outputs", "csv_path", "summary.json.tmp"), ("initial", "type", "wave"),
+        ("well", "safety", 1.5), ("study", "epsilons", [1e200]),
     ])
     def test_bad_value_message_names_key_first(self, section, key, value):
         # the reader's message is not wrapped again in the section's name
@@ -181,6 +182,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="initial.amplitude"):
             parse_config(json.dumps({"domain": MINIMAL["domain"],
                                      "model": {"gamma": 4.0}}))
+        with pytest.raises(ConfigError, match="'initial.path' for type=file"):
+            parse_config(json.dumps(dict(MINIMAL, initial={"type": "file"})))
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -513,18 +516,19 @@ class TestOtherCommands:
         assert main([command, "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
         assert "length" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content,message", [
-        (b"t,E\n0,1\n", "does not carry the expected column set"),
-        (b"\xff\xfe\x00t,E\n", "is not a CSV file"),
-        (f"{','.join(CSV_COLUMNS)}\n0,x,1,1,1,1,1,1,0,0,0\n".encode(), "malformed row"),
-        (f"{','.join(CSV_COLUMNS)}\n".encode(), "holds no samples"),
-    ], ids=["columns", "undecodable", "non-numeric", "no-rows"])
-    def test_verify_rejects_malformed_csv(self, tmp_path, capsys, content, message):
+    def test_verify_rejects_malformed_csv(self, tmp_path, capsys):
         cfg = fast_run_config(tmp_path)
-        (tmp_path / "trajectory.csv").write_bytes(content)
-        code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
-        assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        header = ",".join(CSV_COLUMNS).encode()
+        for content, message in [
+            (b"t,E\n0,1\n", "does not carry the expected column set"),
+            (b"\xff\xfe\x00t,E\n", "is not a CSV file"),
+            (header + b"\n0,x,1,1,1,1,1,1,0,0,0\n", "malformed row"),
+            (header + b"\n", "holds no samples"),
+        ]:
+            (tmp_path / "trajectory.csv").write_bytes(content)
+            code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
+            assert code == EXIT_CONFIG
+            assert message in capsys.readouterr().err
 
     def test_verify_flags_corrupted_ledger(self, tmp_path):
         cfg = fast_run_config(tmp_path)
@@ -567,7 +571,6 @@ class TestOtherCommands:
             assert f"FAIL {name} measured=nan" in captured.out
         assert "PASS" not in captured.out
         assert captured.err == ""
-
 
     @pytest.mark.parametrize("sections,n_times,n_rows", [
         # the base run blows up: nothing to compare against
