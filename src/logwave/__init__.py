@@ -18,11 +18,9 @@ from .analysis import (
 from .domain import (
     DomainSpec,
     ModalField,
-    eigenpair,
     grad_norm_sq,
     l2_inner,
     l2_norm_sq,
-    lp_norm,
     poincare_constant,
     random_band_limited,
 )
@@ -32,7 +30,6 @@ from .functionals import (
     energy,
     log_bound_large,
     log_bound_small,
-    nehari_I,
     source_dual_norm,
     source_eval,
     uniform_bound_constant,

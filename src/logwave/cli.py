@@ -15,12 +15,14 @@ left out or null takes the default, and one without a default is required.
     study:   m_list=[4,8,16], epsilons=[1e-3,1e-4]
 
 Seeds and trial_count are nonnegative integers; scheme, type, path,
-csv_path and json_path take only strings.  csv_path and json_path are two
-distinct bare file names, both written in --output-dir, and neither is the
-other plus ".tmp" (each file is written to its name plus ".tmp" first).
-Unknown keys are rejected.
+csv_path and json_path take only strings.  path names an .npz archive
+holding u0 and, optionally, u1: integer or float coefficient arrays of the
+modal shape.  csv_path and json_path are two distinct bare file names, both
+written in --output-dir, and neither is the other plus ".tmp" (each file is
+written to its name plus ".tmp" first).  Unknown keys are rejected.
 Exit codes: 0 success, 2 configuration or data error, 3 blow-up, 4 mandatory
-check failure.
+check failure.  Only ``main`` prints, and a command that exits 2 prints
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import math
 import os
 import sys
+import zipfile
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -265,10 +268,6 @@ def parse_config(text: str) -> RunConfig:
                      well=well, outputs=outputs, study=study)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text())
-
-
 def _initial_key(spec: InitialSpec) -> str:
     """The config key that scales the initial data, with its value."""
     return (f"'initial.path' ({spec.path})" if spec.type == "file"
@@ -287,13 +286,20 @@ def build_initial(cfg: RunConfig) -> tuple[ModalField, ModalField]:
         u0 = raw.scaled(spec.amplitude / math.sqrt(grad_norm_sq(raw)))
     else:
         try:
-            with np.load(spec.path) as data:
+            data = np.load(spec.path)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with data:
                 arrays = {name: data[name] for name in ("u0", "u1") if name in data}
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise ConfigError(f"'initial.path' ({spec.path}): {exc}") from exc
         if "u0" not in arrays:
             raise ConfigError(f"'initial.path' ({spec.path}): no 'u0' array")
         for name, arr in arrays.items():
+            # bool, complex and string arrays would be cast or fail in the cast
+            if arr.dtype.kind not in "iuf":
+                raise ConfigError(f"'initial.path' ({spec.path}): '{name}' has dtype "
+                                  f"{arr.dtype}, expected integers or floats")
             if arr.shape != dom.modal_shape:
                 raise ConfigError(
                     f"'initial.path' ({spec.path}): '{name}' has shape {arr.shape}, "
@@ -367,8 +373,8 @@ def read_csv(path: Path) -> list[EnergyReport]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each computes its result and writes no file; only ``main``
-# makes the output directory, writes the files and prints the closing line
+# subcommands: each computes its result, writes no file and prints nothing;
+# only ``main`` makes the output directory, writes the files and prints
 
 # (exit code, summary, closing note or None for no closing line, trajectory or None)
 _Result = tuple[int, dict, str | None, list[EnergyReport] | None]
@@ -390,7 +396,7 @@ def _well_depth(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
+def cmd_run(cfg: RunConfig, out_dir: Path) -> _Result:
     # bad initial data exits before any projection; the range test comes
     # before the stable-set test, whose energy would overflow (with warnings)
     # on the same data
@@ -402,9 +408,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
                           f"of floating-point range: {exc}") from exc
     depth = _well_depth(cfg)
     verdict = stable_set_check(u0, u1, depth["d_hat"], cfg.well.safety, cfg.model)
-    if not quiet:
-        print(f"well depth estimate d_hat={depth['d_hat']:.6g} "
-              f"(threshold {verdict.threshold:.6g}); stable set: {verdict.status}")
 
     result = integrate(u0, u1, cfg.solver, cfg.model)
     t_max = result.final.t if result.status == BLOWUP else None
@@ -431,13 +434,13 @@ def cmd_run(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
     return code, summary, "", result.reports
 
 
-def cmd_welldepth(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
+def cmd_welldepth(cfg: RunConfig, out_dir: Path) -> _Result:
     depth = _well_depth(cfg)
     return (EXIT_OK, {"command": "welldepth", **depth},
             f"d_hat={depth['d_hat']:.12g} over {len(depth['trials'])} trials", None)
 
 
-def cmd_converge(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
+def cmd_converge(cfg: RunConfig, out_dir: Path) -> _Result:
     u0, u1 = build_initial(cfg)
     study = convergence_study(u0, u1, cfg.solver, cfg.model, list(cfg.study.m_list))
     code = EXIT_BLOWUP if study.status == BLOWUP else EXIT_OK if study.passed else EXIT_CHECKS
@@ -446,7 +449,7 @@ def cmd_converge(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
             None)
 
 
-def cmd_depend(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
+def cmd_depend(cfg: RunConfig, out_dir: Path) -> _Result:
     u0, u1 = build_initial(cfg)
     report = continuous_dependence(
         u0, u1, cfg.solver, cfg.model,
@@ -457,7 +460,7 @@ def cmd_depend(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
             f"dependence status={report.status} growth_rate={report.growth_rate:.6g}", None)
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> _Result:
+def cmd_verify(cfg: RunConfig, out_dir: Path) -> _Result:
     csv_path = out_dir / cfg.outputs.csv_path
     checks, extras = run_checks(read_csv(csv_path), cfg.domain, cfg.model, verdict=None)
     code = EXIT_OK if mandatory_ok(checks) else EXIT_CHECKS
@@ -489,18 +492,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if args.seed is not None:
             seed = _count(args.seed, "--seed")
             cfg = replace(cfg, initial=replace(cfg.initial, seed=seed),
                           well=replace(cfg.well, seed=seed))
+    except UnicodeDecodeError as exc:
+        print(f"config error: '{args.config}' is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = Path(args.output_dir)
     try:
-        code, summary, note, reports = _COMMANDS[args.command](cfg, out_dir, args.quiet)
+        code, summary, note, reports = _COMMANDS[args.command](cfg, out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         written = []
         if reports is not None:
@@ -516,6 +522,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     if not args.quiet:
+        if "stable_set" in summary:
+            verdict = summary["stable_set"]
+            print(f"well depth estimate d_hat={summary['well_depth']['d_hat']:.6g} "
+                  f"(threshold {verdict['threshold']:.6g}); stable set: {verdict['status']}")
         for c in summary.get("checks", ()):
             measured = "n/a" if c["measured"] is None else f"{c['measured']:.6g}"
             tol = "n/a" if c["tolerance"] is None else f"{c['tolerance']:.6g}"

@@ -177,26 +177,6 @@ class DomainSpec:
         a.flags.writeable = False
         return a
 
-    @cached_property
-    def axis_coordinates(self) -> np.ndarray:
-        x = np.arange(1, self.grid_per_dim + 1, dtype=float) * self.grid_spacing
-        x.flags.writeable = False
-        return x
-
-
-def eigenpair(domain: DomainSpec, k: tuple[int, ...]) -> tuple[float, float]:
-    """Eigenvalue and L2 norm-square of the basis function with multi-index k."""
-    k = tuple(int(ki) for ki in k)
-    if len(k) != domain.dim:
-        raise IndexError(f"multi-index {k} does not match dim={domain.dim}")
-    for ki in k:
-        if not 1 <= ki <= domain.modes_per_dim:
-            raise IndexError(
-                f"mode index {k} out of range 1..{domain.modes_per_dim}"
-            )
-    lam = sum((ki * np.pi / domain.length) ** 2 for ki in k)
-    return lam, domain.mode_norm_sq
-
 
 def poincare_constant(domain: DomainSpec) -> float:
     """Sharp constant C_P in ||u||_2 <= C_P ||grad u||_2 for this basis."""
@@ -232,7 +212,11 @@ class ModalField:
 
     @classmethod
     def eigenmode(cls, domain: DomainSpec, k: tuple[int, ...], amplitude: float = 1.0) -> "ModalField":
-        eigenpair(domain, k)  # validates the index
+        k = tuple(int(ki) for ki in k)
+        if len(k) != domain.dim:
+            raise IndexError(f"multi-index {k} does not match dim={domain.dim}")
+        if not all(1 <= ki <= domain.modes_per_dim for ki in k):
+            raise IndexError(f"mode index {k} out of range 1..{domain.modes_per_dim}")
         c = np.zeros(domain.modal_shape)
         c[tuple(ki - 1 for ki in k)] = amplitude
         return cls(domain, c)
@@ -313,14 +297,6 @@ def l2_inner(f: ModalField, g: ModalField) -> float:
     if f.domain != g.domain:
         raise ValueError("fields live on different domains")
     return float((f.coeffs * g.coeffs).sum() * f.domain.mode_norm_sq)
-
-
-def lp_norm(f: ModalField, p: float) -> float:
-    """L^p norm by quadrature on the oversampled grid."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    a = np.abs(synthesize(f.domain, f.coeffs))
-    return float((f.domain.quad_weight * np.sum(a ** p)) ** (1.0 / p))
 
 
 def random_band_limited(domain: DomainSpec, rng: np.random.Generator) -> ModalField:

@@ -219,11 +219,6 @@ def energy(u: ModalField, ut: ModalField, params: ModelParams) -> EnergyReport:
     )
 
 
-def nehari_I(u: ModalField, params: ModelParams) -> float:
-    """I(u) = ||grad u||_2^2 - B(u), the I of ``energy`` at zero velocity."""
-    return energy(u, ModalField.zeros(u.domain), params).I
-
-
 def uniform_bound_constant(gamma: float) -> float:
     """min{1/2, (gamma-2)/(2 gamma), 1/gamma^2}, the coercivity constant."""
     return min(0.5, (gamma - 2.0) / (2.0 * gamma), 1.0 / gamma ** 2)

@@ -134,6 +134,16 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
+    def test_config_not_utf8_exits_config(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: '{cfg}' is not UTF-8 text: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_docstring_defaults_match_the_dataclasses(self):
         # logwave.cli.__doc__ lists every default for users; its dataclass
         # field owns the value
@@ -320,6 +330,33 @@ class TestBuildInitial:
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"data error: 'initial.path' ({npz}): no 'u0' array\n"
 
+    @pytest.mark.parametrize("name,u0,message", [
+        ("init.npy", np.zeros((4, 4, 4)), "not an .npz archive"),
+        ("init.npz", np.full((4, 4, 4), "0"), "'u0' has dtype <U1"),
+        ("init.npz", np.full((4, 4, 4), 0.05j), "'u0' has dtype complex128"),
+        ("init.npz", np.ones((4, 4, 4), bool), "'u0' has dtype bool"),
+        ("init.npz", b"PK\x03\x04", "File is not a zip file"),
+        ("init.npz", b"", "No data left in file"),
+    ], ids=["npy", "string", "complex", "bool", "truncated", "empty"])
+    def test_from_file_takes_only_a_real_npz(self, tmp_path, capsys, name, u0, message):
+        # a plain array, strings, complex or bool values are not real
+        # coefficients, and a cut-off archive is no archive
+        path = tmp_path / name
+        if isinstance(u0, bytes):
+            path.write_bytes(u0)
+        elif name.endswith(".npy"):
+            np.save(path, u0)
+        else:
+            np.savez(path, u0=u0)
+        cfg = fast_run_config(tmp_path, initial={"type": "file", "path": str(path)})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"data error: 'initial.path' ({path}): {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_from_missing_file(self, tmp_path):
         cfg = fast_run_config(tmp_path, initial={"type": "file",
                                                  "path": str(tmp_path / "absent.npz")})
@@ -465,6 +502,9 @@ class TestOtherCommands:
         assert main([command, "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("data error: ")
         assert out.read_text() == "keep\n"
+        # without --quiet, stdout stays empty too
+        assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
 
     def test_converge_linear_machine_precision(self, tmp_path):
         cfg = fast_run_config(

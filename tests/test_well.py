@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from logwave import well
 from logwave.domain import DomainSpec, ModalField, random_band_limited
-from logwave.functionals import ModelParams
+from logwave.functionals import ModelParams, energy
 from logwave.well import (
     DegenerateFieldError,
     FiberMoments,
@@ -199,15 +199,14 @@ class TestProjection:
             assert j_max == pytest.approx(j_oracle, rel=1e-12)
 
     def test_nehari_functional_vanishes_after_projection(self):
-        from logwave.functionals import nehari_I
-
         dom = DomainSpec(3, np.pi, 4, 4)
         rng = np.random.default_rng(31)
         u = random_band_limited(dom, rng).scaled(0.5)
         lam, _ = project_to_nehari(u, PARAMS)
         projected = u.scaled(lam)
         from logwave.domain import grad_norm_sq
-        assert abs(nehari_I(projected, PARAMS)) <= 1e-10 * grad_norm_sq(projected)
+        I = energy(projected, ModalField.zeros(dom), PARAMS).I
+        assert abs(I) <= 1e-10 * grad_norm_sq(projected)
 
     @settings(deadline=None, max_examples=60)
     @given(log10_scale=st.floats(-8.0, 8.0), gamma=st.sampled_from([4.0, 5.5]),
