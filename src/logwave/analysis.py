@@ -362,39 +362,32 @@ def continuous_dependence(
         if not math.isfinite(eps) or (eps and eps * eps == 0.0):
             raise ValueError(f"epsilon {eps!r} must be finite, with a nonzero square if nonzero")
     base = integrate(u0, u1, cfg, params, store_states=True)
-    if base.status != COMPLETED:
-        return DependenceReport((), tuple(epsilons), (), (), float("nan"),
-                                float("nan"), base.status)
-    direction = random_band_limited(u0.domain, np.random.default_rng(seed))
-    direction = direction.scaled(1.0 / math.sqrt(grad_norm_sq(direction)))
+    status, times, d_rows = base.status, (), []
+    if status == COMPLETED:
+        direction = random_band_limited(u0.domain, np.random.default_rng(seed))
+        direction = direction.scaled(1.0 / math.sqrt(grad_norm_sq(direction)))
+        times = tuple(r.t for r in base.reports)
+        for eps in epsilons:
+            pert = integrate(u0 + direction.scaled(eps), u1, cfg, params, store_states=True)
+            status = pert.status
+            if status != COMPLETED:
+                break
+            d_rows.append(tuple(l2_norm_sq(sp.ut - sb.ut) + grad_norm_sq(sp.u - sb.u)
+                                for sb, sp in zip(base.states, pert.states)))
+            # the next run starts with only the base trajectory held
+            del pert
 
-    times = tuple(s.t for s in base.states)
-    d_rows = []
-    ratio_rows = []
-    for eps in epsilons:
-        pert = integrate(u0 + direction.scaled(eps), u1, cfg, params, store_states=True)
-        if pert.status != COMPLETED:
-            return DependenceReport(times, tuple(epsilons), tuple(d_rows),
-                                    tuple(ratio_rows), float("nan"),
-                                    float("nan"), pert.status)
-        dvals = []
-        for sb, sp in zip(base.states, pert.states):
-            z = sp.u - sb.u
-            zt = sp.ut - sb.ut
-            dvals.append(l2_norm_sq(zt) + grad_norm_sq(z))
-        d_rows.append(tuple(dvals))
-        ratio_rows.append(tuple(d / eps ** 2 if eps else 0.0 for d in dvals))
-
-    rate = float("nan")
-    r2 = float("nan")
-    if d_rows:
+    rate = r2 = float("nan")
+    if status == COMPLETED and d_rows:
         d0 = np.array(d_rows[0])
         tt = np.array(times)
         mask = (d0 > 0) & (tt > 0)
         if mask.sum() >= 3:
             rate, _, r2 = _loglinear_fit(tt[mask], d0[mask])
-    return DependenceReport(times, tuple(epsilons), tuple(d_rows),
-                            tuple(ratio_rows), rate, r2, COMPLETED)
+    ratio_rows = tuple(tuple(d / eps ** 2 if eps else 0.0 for d in row)
+                       for eps, row in zip(epsilons, d_rows))
+    return DependenceReport(times, tuple(epsilons), tuple(d_rows), ratio_rows,
+                            rate, r2, status)
 
 
 @dataclass(frozen=True)
@@ -443,25 +436,24 @@ def convergence_study(
         raise ValueError("m_list must be strictly increasing with >= 2 levels")
     src = u0.domain
     e_end, u_end, losses = [], [], []
+    diffs, passed, failed_level = [], False, None
     for level, m in enumerate(m_list):
         dom = DomainSpec(src.dim, src.length, m, src.oversample)
         v0, loss0 = _reband(u0, dom)
         v1, _ = _reband(u1, dom)
         result = integrate(v0, v1, cfg, params)
         if result.status == BLOWUP:
-            return ConvergenceStudy(
-                m_list=tuple(m_list), E_end=tuple(e_end), u_l2_end=tuple(u_end),
-                projection_loss=tuple(losses), E_diffs=(), passed=False,
-                status=BLOWUP, failed_level=level,
-            )
+            failed_level = level
+            break
         e_end.append(result.reports[-1].E)
         u_end.append(math.sqrt(l2_norm_sq(result.final.u)))
         losses.append(loss0)
-    diffs = [abs(b - a) for a, b in zip(e_end, e_end[1:])]
-    # vacuously true for two-level studies, which carry a single difference
-    passed = all(b <= a for a, b in zip(diffs[-2:-1], diffs[-1:]))
+    else:
+        diffs = [abs(b - a) for a, b in zip(e_end, e_end[1:])]
+        # vacuously true for two-level studies, which carry a single difference
+        passed = all(b <= a for a, b in zip(diffs[-2:-1], diffs[-1:]))
     return ConvergenceStudy(
         m_list=tuple(m_list), E_end=tuple(e_end), u_l2_end=tuple(u_end),
         projection_loss=tuple(losses), E_diffs=tuple(diffs), passed=passed,
-        status=COMPLETED,
+        status=COMPLETED if failed_level is None else BLOWUP, failed_level=failed_level,
     )

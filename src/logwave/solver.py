@@ -66,6 +66,10 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
+        # integrate takes round(t_end / dt) steps and would silently move any other t_end
+        n_steps = self.t_end / self.dt
+        if not (math.isfinite(n_steps) and math.isclose(n_steps, round(n_steps), rel_tol=1e-9)):
+            raise ValueError(f"t_end ({self.t_end!r}) must be a whole number of dt ({self.dt!r}) steps")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not self.blowup_threshold > 1:

@@ -1,5 +1,6 @@
 import math
 import operator
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +245,23 @@ class TestContinuousDependence:
         report = continuous_dependence(u0, u1, cfg, PARAMS, epsilons=(1e-3,), seed=4)
         # perturbation has unit gradient norm: D(0) = eps^2
         assert report.D[0][0] == pytest.approx(1e-6, rel=1e-10)
+
+    def test_each_perturbed_run_is_freed_before_the_next(self, setup, monkeypatch):
+        u0, u1, _ = setup
+        results, alive = [], []
+
+        def tracked(*args, **kwargs):
+            # earlier perturbed results still held when this run starts
+            alive.append(sum(ref() is not None for ref in results[1:]))
+            result = integrate(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(analysis, "integrate", tracked)
+        cfg = SolverConfig(dt=1e-3, t_end=0.05, report_every=10)
+        report = continuous_dependence(u0, u1, cfg, PARAMS, epsilons=(1e-3, 1e-4, 0.0), seed=4)
+        assert report.status == COMPLETED
+        assert alive == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("eps", [1e-170, -1e-170, float("nan"), float("inf")])
     def test_bad_epsilon_rejected_before_integrating(self, setup, eps, monkeypatch):

@@ -223,10 +223,11 @@ class TestParseConfig:
         cfg = fast_run_config(tmp_path, model={"gamma": 7.0, "unsafe_gamma": "false"})
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("t_end,dt", [(1.0, 0.3), (0.25, 0.1), (1e-4, 1e-3)])
+    # a subnormal dt gives an infinite step count
+    @pytest.mark.parametrize("t_end,dt", [(1.0, 0.3), (0.25, 0.1), (1e-4, 1e-3), (1.0, 5e-324)])
     def test_t_end_must_be_multiple_of_dt(self, tmp_path, t_end, dt):
         doc = dict(MINIMAL, solver={"dt": dt, "t_end": t_end})
-        with pytest.raises(ConfigError, match="solver.t_end"):
+        with pytest.raises(ConfigError, match="solver: t_end .* whole number of dt"):
             parse_config(json.dumps(doc))
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
@@ -244,6 +245,19 @@ class TestParseConfig:
     def test_t_end_multiple_accepts_rounding(self, t_end, dt):
         doc = dict(MINIMAL, solver={"dt": dt, "t_end": t_end})
         assert parse_config(json.dumps(doc)).solver.t_end == t_end
+
+    @pytest.mark.parametrize("name", ["s\u0000.json", "s\ud800.json", "s" * 248 + ".json"],
+                             ids=["nul", "lone-surrogate", "tmp-over-name-max"])
+    def test_output_name_no_file_can_have_exits_before_work(self, tmp_path, capsys, name):
+        # the '.tmp' name of the third is 257 bytes, past NAME_MAX
+        for key in ("csv_path", "json_path"):
+            cfg = fast_run_config(tmp_path, outputs={key: name})
+            out = tmp_path / "out"
+            assert main(["welldepth", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: 'outputs.{key}' ")
+            assert captured.out == ""
+            assert not out.exists()
 
 
 class TestBuildInitial:

@@ -516,3 +516,8 @@ class TestSolverConfig:
             SolverConfig(blowup_threshold=0.5)
         with pytest.raises(ValueError):
             SolverConfig(report_every=0)
+        # integrate would stop at t = 0.9, or take an infinite number of steps
+        with pytest.raises(ValueError, match="whole number of dt"):
+            SolverConfig(dt=0.3, t_end=1.0)
+        with pytest.raises(ValueError, match="whole number of dt"):
+            SolverConfig(dt=5e-324, t_end=1.0)
