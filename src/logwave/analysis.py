@@ -29,8 +29,6 @@ from .well import IN, StableSetVerdict
 # absolute energy floor below which report samples are excluded from fits
 # and ratio estimates
 ENERGY_FLOOR = 1e-14
-# number of S values sampled for the ratio estimate c0_hat
-N_S_SAMPLES = 20
 
 
 class FitError(RuntimeError):
@@ -56,7 +54,9 @@ class EstimateSuite:
         at 1 (small fields have I > ||grad u||^2 because the log integrand
         is negative below unit amplitude, while the decay argument only
         needs some delta in (0, 1)).
-    c0_hat: max over sampled S of the ratio (integral of E over [S, T]) / E(S).
+    c0_hat: max over every admissible S (a report time up to T/2, before
+        the last report, with E above the energy floor) of the ratio
+        (integral of E over [S, T]) / E(S); n_s_samples counts those S.
     cw_hat: max observed ||u||_g^g / ||grad u||^2.
     poincare_margin: max observed ||u_t||_2 / (C_P ||grad u_t||_2); NaN when
         no sample carries the velocity-gradient column.
@@ -167,9 +167,9 @@ def check_integral_bound(
 ) -> EstimateSuite:
     """Estimate the decay-chain constants from one completed stable run.
 
-    Up to ``N_S_SAMPLES`` S values are sampled evenly among reports with E
-    above the energy floor in the first half of the run; T is the final
-    report time.
+    T is the final report time.  One reverse cumulative trapezoid gives
+    the integral of E over [S, T] at every report, so c0_hat is the exact
+    maximum over the admissible S (see ``EstimateSuite``).
     """
     c = _columns(reports)
     t, E, I, grad, lg = c["t"], c["E"], c["I"], c["grad_sq"], c["lgamma"]
@@ -187,18 +187,15 @@ def check_integral_bound(
     else:
         poincare_margin = float("nan")
 
-    candidates = np.where(valid & (t <= t[-1] / 2.0))[0]
-    candidates = candidates[candidates < len(t) - 1]
-    if candidates.size:
-        take = candidates[np.linspace(0, candidates.size - 1, min(N_S_SAMPLES, candidates.size)).astype(int)]
-        # E = inf gives inf / inf = nan, a FAIL rather than a warning
-        with np.errstate(invalid="ignore"):
-            ratios = [float(np.trapezoid(E[i:], t[i:]) / E[i]) for i in take]
-        c0_hat = max(ratios)
-        n_used = len(take)
-    else:
-        c0_hat = float("nan")
-        n_used = 0
+    admissible = valid & (t <= t[-1] / 2.0)
+    admissible[-1] = False
+    # the integral of E over [t_i, T] at every report i; E = inf gives
+    # inf / inf = nan, a FAIL rather than a warning
+    with np.errstate(invalid="ignore"):
+        seg = np.diff(t) * (E[1:] + E[:-1]) / 2.0
+        tail = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+        ratios = tail[admissible] / E[admissible]
+    c0_hat = float(np.max(ratios)) if ratios.size else float("nan")
 
     g = params.gamma
     if math.isfinite(delta_hat) and delta_hat > 0 and math.isfinite(cw_hat):
@@ -207,7 +204,7 @@ def check_integral_bound(
         m_hat = float("nan")
     return EstimateSuite(
         delta_hat=delta_hat, c0_hat=c0_hat, cw_hat=cw_hat,
-        poincare_margin=poincare_margin, m_hat=m_hat, n_s_samples=n_used,
+        poincare_margin=poincare_margin, m_hat=m_hat, n_s_samples=ratios.size,
     )
 
 
@@ -358,6 +355,8 @@ def continuous_dependence(
     epsilon = 0 the perturbed run reproduces the base run exactly (the
     integrator is a deterministic function of its inputs).
     """
+    if not epsilons:
+        raise ValueError("epsilons must hold at least one epsilon")
     for eps in epsilons:
         if not math.isfinite(eps) or (eps and eps * eps == 0.0):
             raise ValueError(f"epsilon {eps!r} must be finite, with a nonzero square if nonzero")

@@ -21,8 +21,8 @@ modal shape.  csv_path and json_path are two distinct bare file names, both
 written in --output-dir, and neither is the other plus ".tmp" (each file is
 written to its name plus ".tmp" first), and has no NUL byte and at most 251
 bytes encoded; any other name exits 2 before any work.  SolverConfig itself
-rejects a t_end that is not a whole number of dt steps.  Unknown keys are
-rejected.
+rejects a t_end that is not a whole number of dt steps.  Unknown and
+repeated keys are rejected.
 Exit codes: 0 success, 2 configuration or data error, 3 blow-up, 4 mandatory
 check failure.  Only ``main`` prints, and a command that exits 2 prints
 nothing on stdout.
@@ -148,10 +148,10 @@ def _m_list(value, path: str) -> tuple[int, ...]:
 
 def _epsilons(value, path: str) -> tuple[float, ...]:
     # the report divides by eps^2, which must neither overflow nor vanish
-    if not isinstance(value, list) or not all(
+    if not isinstance(value, list) or not value or not all(
             isinstance(e, (int, float)) and not isinstance(e, bool)
             and (e == 0 or (0 < e < 1e154 and e * e > 0)) for e in value):
-        raise ConfigError(f"'{path}' must be a list of numbers, each 0 or in "
+        raise ConfigError(f"'{path}' must be a nonempty list of numbers, each 0 or in "
                           "(0, 1e154) with a nonzero square")
     return tuple(float(e) for e in value)
 
@@ -196,14 +196,38 @@ def _build(section: str, values: dict):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+class _Object(dict):
+    """A JSON object; ``repeated`` is the path of its first repeated key,
+    counting the keys of the objects it holds."""
+
+    repeated: str | None = None
+
+
+def _object(pairs: list[tuple[str, object]]) -> _Object:
+    """``json.loads``'s object hook.  json keeps the last value of a repeated
+    key, so the object records the key's path for ``parse_config`` to reject."""
+    obj, seen = _Object(pairs), set()
+    for key, value in pairs:
+        if key in seen:
+            obj.repeated = key
+        elif isinstance(value, _Object) and value.repeated:
+            obj.repeated = f"{key}.{value.repeated}"
+        if obj.repeated:
+            break
+        seen.add(key)
+    return obj
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document into a RunConfig."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top-level document must be an object")
+    if doc.repeated:
+        raise ConfigError(f"repeated key '{doc.repeated}'")
     for section, body in doc.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section '{section}'")

@@ -15,6 +15,7 @@ import pytest
 
 from logwave.analysis import (
     CHECKS,
+    ENERGY_FLOOR,
     CheckInput,
     check_energy_identity,
     check_integral_bound,
@@ -163,7 +164,10 @@ def test_06_integral_estimate(run_base, run_t40):
     s20 = check_integral_bound(run_base.reports, DOMAIN, PARAMS)
     s40 = check_integral_bound(run_t40.reports, DOMAIN, PARAMS)
     drift = abs(s40.c0_hat - s20.c0_hat) / s20.c0_hat
-    ok = (math.isfinite(s20.c0_hat) and s20.n_s_samples == 20
+    # every report up to T/2, but the last, with E above the floor is an S
+    t_half = run_base.reports[-1].t / 2.0
+    n_s = sum(r.E >= ENERGY_FLOOR and r.t <= t_half for r in run_base.reports[:-1])
+    ok = (math.isfinite(s20.c0_hat) and s20.n_s_samples == n_s
           and math.isfinite(s40.c0_hat) and drift <= 0.05)
     assert report_line(
         6, "integral estimate", ok,

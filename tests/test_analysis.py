@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from logwave import analysis
 from logwave.analysis import (
     CHECKS,
+    ENERGY_FLOOR,
     CheckInput,
     FitError,
     check_energy_identity,
@@ -188,7 +190,26 @@ class TestIntegralBound:
         suite = check_integral_bound(reports, dom, PARAMS)
         # for E = exp(-t) and T >> S the ratio equals 1 for every S
         assert suite.c0_hat == pytest.approx(1.0, rel=1e-3)
-        assert suite.n_s_samples == 20
+        assert suite.n_s_samples == 1501
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 100), st.just(2)),
+                  elements=st.one_of(st.floats(1e-3, 1e3),
+                                     st.sampled_from([0.0, 1e-15, ENERGY_FLOOR]))))
+    def test_c0_hat_is_the_worst_ratio_over_every_admissible_s(self, rows):
+        # column 0, raised by 1e-3, spaces the reports; column 1 holds E
+        ts = np.cumsum(rows[:, 0] + 1e-3)
+        ts -= ts[0]
+        E = rows[:, 1]
+        suite = check_integral_bound(synthetic_reports(ts, E), DomainSpec(3, np.pi, 4), PARAMS)
+        admissible = [i for i in range(len(ts) - 1)
+                      if E[i] >= ENERGY_FLOOR and ts[i] <= ts[-1] / 2.0]
+        assert suite.n_s_samples == len(admissible)
+        if admissible:
+            brute = max(np.trapezoid(E[i:], ts[i:]) / E[i] for i in admissible)
+            assert suite.c0_hat == pytest.approx(brute, rel=1e-12)
+        else:
+            assert math.isnan(suite.c0_hat)
 
     def test_zero_trajectory_empty(self):
         dom = DomainSpec(3, np.pi, 4)
@@ -269,6 +290,13 @@ class TestContinuousDependence:
         monkeypatch.setattr(analysis, "integrate", lambda *a, **k: pytest.fail("integrated"))
         with pytest.raises(ValueError, match="epsilon"):
             continuous_dependence(u0, u1, cfg, PARAMS, epsilons=(1e-3, eps), seed=4)
+
+    def test_no_epsilon_rejected_before_integrating(self, setup, monkeypatch):
+        # with no perturbed run the study would return no D row and a NaN rate
+        u0, u1, cfg = setup
+        monkeypatch.setattr(analysis, "integrate", lambda *a, **k: pytest.fail("integrated"))
+        with pytest.raises(ValueError, match="epsilon"):
+            continuous_dependence(u0, u1, cfg, PARAMS, epsilons=(), seed=4)
 
 
 class TestConvergenceStudy:

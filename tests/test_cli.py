@@ -98,7 +98,7 @@ class TestParseConfig:
         ("study", "m_list", 8), ("outputs", "csv_path", "sub/t.csv"),
         ("outputs", "json_path", "/tmp/s.json"), ("outputs", "json_path", "trajectory.csv"),
         ("outputs", "csv_path", "summary.json.tmp"), ("initial", "type", "wave"),
-        ("well", "safety", 1.5), ("study", "epsilons", [1e200]),
+        ("well", "safety", 1.5), ("study", "epsilons", [1e200]), ("study", "epsilons", []),
     ])
     def test_bad_value_message_names_key_first(self, section, key, value):
         # the reader's message is not wrapped again in the section's name
@@ -132,6 +132,21 @@ class TestParseConfig:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model,path", [
+        ('"model": {"gamma": 4.0, "gamma": 5.5}', "model.gamma"),
+        ('"model": {"gamma": 4.0}, "model": {"gamma": 5.5}', "model"),
+    ], ids=["key", "section"])
+    def test_repeated_key_exits_before_work(self, tmp_path, capsys, model, path):
+        # plain json.loads keeps the last value, so this ran at gamma 5.5
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"domain": {"dim": 3, "length": 3.0, "modes_per_dim": 4}, '
+                       f'{model}, "initial": {{"amplitude": 0.05}}, '
+                       '"well": {"trial_count": 2}}')
+        out = tmp_path / "out"
+        assert main(["welldepth", "--config", str(cfg), "--output-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: repeated key '{path}'\n")
         assert not out.exists()
 
     def test_config_not_utf8_exits_config(self, tmp_path, capsys):
