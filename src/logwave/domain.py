@@ -63,7 +63,12 @@ def _aligned_arrays(*sizes: int) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Box (0, length)^dim resolved by modes_per_dim sine modes per axis."""
+    """Box (0, length)^dim resolved by modes_per_dim sine modes per axis.
+
+    The derived shapes and scales are cached properties, computed on first
+    read; they are not fields, so equality, hashing and ``replace`` see only
+    the four fields.
+    """
 
     dim: int
     length: float
@@ -93,24 +98,24 @@ class DomainSpec:
     def grid_per_dim(self) -> int:
         return self.oversample * self.modes_per_dim
 
-    @property
+    @cached_property
     def modal_shape(self) -> tuple[int, ...]:
         return (self.modes_per_dim,) * self.dim
 
-    @property
+    @cached_property
     def grid_shape(self) -> tuple[int, ...]:
         return (self.grid_per_dim,) * self.dim
 
-    @property
+    @cached_property
     def grid_spacing(self) -> float:
         return self.length / (self.grid_per_dim + 1)
 
-    @property
+    @cached_property
     def quad_weight(self) -> float:
         """Quadrature weight per grid node (trapezoid, vanishing boundary)."""
         return self.grid_spacing ** self.dim
 
-    @property
+    @cached_property
     def mode_norm_sq(self) -> float:
         """L2 norm-square of every (unnormalized) basis function."""
         return (self.length / 2.0) ** self.dim
@@ -195,7 +200,13 @@ class ModalField:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
+        coeffs = self.coeffs
+        # a read-only float array of the band's shape is kept as it is, with
+        # no conversion and no flag write: a row of a trial-family block
+        if (type(coeffs) is np.ndarray and coeffs.dtype == np.float64
+                and not coeffs.flags.writeable and coeffs.shape == self.domain.modal_shape):
+            return
+        arr = np.asarray(coeffs, dtype=float)
         if arr.shape != self.domain.modal_shape:
             raise ValueError(
                 f"coefficient shape {arr.shape} does not match modal band "

@@ -30,12 +30,18 @@ so c, and with it w and J(lambda* u), does not depend on the scale s; only
 lambda* moves, as 1/s.  The root is found as v = ln w from e^v + v = c by
 Newton's method, which never leaves the floating-point range in log space,
 and then lambda* = exp((w - kB/G) / k).
+
+The depth is estimated over a trial family read once: ``default_trial_family``
+draws its random trials one block of ``TRIAL_BLOCK`` rows at a time, and
+``estimate_depth`` projects each trial as it reaches it, so the memory of an
+estimate is one block, whatever the number of trials.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +64,8 @@ NEWTON_MAX_ITER = 50
 NEWTON_RTOL = 4.0 * sys.float_info.epsilon
 # lambda*^gamma must stay inside the float range for J(lambda*) to be evaluated
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# random trials drawn per block: the memory of a trial family is one block
+TRIAL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -168,38 +176,53 @@ def project_to_nehari(u: ModalField, params: ModelParams) -> tuple[float, float]
 
 def default_trial_family(
     domain: DomainSpec, count: int, seed: int
-) -> tuple[list[ModalField], list[str]]:
+) -> tuple[Iterator[ModalField], list[str]]:
     """First eigenfunction plus ``count`` random band-limited trials.
 
-    The trials come from one draw of shape (count, *modal_shape), which
-    gives the bits of ``count`` sequential ``random_band_limited`` draws from
-    the same generator.  The block is read-only, so each trial's field holds
-    a row of it without a copy.
+    ``fields`` is a one-pass iterator and ``labels`` the full list.  The
+    random trials are drawn as the iterator reaches them, in blocks of at
+    most ``TRIAL_BLOCK`` rows from one generator, which give the bits of
+    ``count`` sequential ``random_band_limited`` draws from it.  Each block is
+    read-only, so each trial's field holds a row of it without a copy, and
+    only the block being read is alive: memory is one block, not the family.
     """
-    fields = [ModalField.eigenmode(domain, (1,) * domain.dim)]
-    labels = ["eigenmode-1"]
-    block = np.random.default_rng(seed).standard_normal((count, *domain.modal_shape))
-    block.flags.writeable = False
-    fields += [ModalField(domain, row) for row in block]
-    labels += [f"random-{i:02d}" for i in range(count)]
-    return fields, labels
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    labels = ["eigenmode-1"] + [f"random-{i:02d}" for i in range(count)]
+    return _trial_fields(domain, count, np.random.default_rng(seed)), labels
 
 
-def estimate_depth(trials: list[ModalField], params: ModelParams) -> WellDepthEstimate:
-    """Upper-estimate the well depth as the minimal fibering supremum."""
-    if not trials:
-        raise ValueError("trial family is empty")
-    # the trials of one family share one domain object; identity skips the
-    # frozen dataclass's field-by-field __eq__
-    first = trials[0].domain
-    if any(trial.domain is not first and trial.domain != first for trial in trials):
-        raise ValueError("trials live on different domains")
+def _trial_fields(domain: DomainSpec, count: int, rng: np.random.Generator) -> Iterator[ModalField]:
+    yield ModalField.eigenmode(domain, (1,) * domain.dim)
+    for start in range(0, count, TRIAL_BLOCK):
+        block = rng.standard_normal((min(TRIAL_BLOCK, count - start), *domain.modal_shape))
+        block.flags.writeable = False
+        for row in block:
+            yield ModalField(domain, row)
+
+
+def estimate_depth(trials: Iterable[ModalField], params: ModelParams) -> WellDepthEstimate:
+    """Upper-estimate the well depth as the minimal fibering supremum.
+
+    ``trials`` is any iterable, read once: each trial is projected as it is
+    reached, so a one-pass family such as ``default_trial_family``'s is never
+    held whole.
+    """
     rows = []
+    first = None
     for i, trial in enumerate(trials):
+        # the trials of one family share one domain object; identity skips
+        # the frozen dataclass's field-by-field __eq__
+        if first is None:
+            first = trial.domain
+        elif trial.domain is not first and trial.domain != first:
+            raise ValueError("trials live on different domains")
         lambda_star, j_max = project_to_nehari(trial, params)
         if not j_max > 0:
             raise DegenerateFieldError(f"trial {i}: nonpositive fibering supremum")
         rows.append((lambda_star, j_max))
+    if not rows:
+        raise ValueError("trial family is empty")
     d_hat = min(j_max for _, j_max in rows)
     return WellDepthEstimate(d_hat=d_hat, trials=tuple(rows))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -89,6 +90,22 @@ class TestDomainSpec:
         for dim, length in ((3, 1e150), (3, 1e-160), (1, 1e308), (3, 1e-110)):
             with pytest.raises(ValueError, match="length"):
                 DomainSpec(dim, length, 8)
+
+    def test_cached_scales_leave_identity_alone(self):
+        dom = DomainSpec(3, 1.7, 5)
+        fresh = DomainSpec(3, 1.7, 5)
+        scales = (dom.modal_shape, dom.grid_shape, dom.grid_spacing, dom.quad_weight,
+                  dom.mode_norm_sq)
+        assert scales == ((5, 5, 5), (10, 10, 10), 1.7 / 11, (1.7 / 11) ** 3, 0.85 ** 3)
+        assert dom == fresh and hash(dom) == hash(fresh)
+        assert dataclasses.replace(dom) == dom
+        # replace builds a new domain, whose scales come from its own fields
+        other = dataclasses.replace(dom, dim=2, modes_per_dim=4)
+        assert other != dom
+        assert (other.modal_shape, other.grid_shape, other.grid_spacing) == ((4, 4), (8, 8), 1.7 / 9)
+        assert other.mode_norm_sq == 0.85 ** 2
+        with pytest.raises(ValueError, match="length"):
+            dataclasses.replace(dom, length=1e150)
 
     def test_grid_geometry(self):
         dom = DomainSpec(2, 2.0, 4, 3)
@@ -229,6 +246,25 @@ class TestTransforms:
         dom = DomainSpec(2, np.pi, 4)
         with pytest.raises(ValueError):
             ModalField(dom, np.zeros((4, 5)))
+
+    def test_read_only_rows_kept_other_input_converted(self):
+        dom = DomainSpec(2, np.pi, 4)
+        block = np.random.default_rng(0).standard_normal((3, 4, 4))
+        block.flags.writeable = False
+        row = block[1]
+        assert ModalField(dom, row).coeffs is row
+        writeable = np.ones((4, 4))
+        kept = ModalField(dom, writeable).coeffs
+        assert kept is not writeable and writeable.flags.writeable
+        assert not kept.flags.writeable
+        single = np.ones((4, 4), dtype=np.float32)
+        single.flags.writeable = False
+        for data in (single, [[1.0] * 4] * 4):
+            coeffs = ModalField(dom, data).coeffs
+            assert coeffs.dtype == np.float64 and not coeffs.flags.writeable
+            assert coeffs.tobytes() == np.ones((4, 4)).tobytes()
+        with pytest.raises(ValueError):
+            ModalField(dom, block[:, :3, :])
 
     def test_coefficients_immutable(self):
         dom = DomainSpec(1, np.pi, 4)

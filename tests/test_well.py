@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
@@ -245,11 +246,13 @@ class TestProjection:
 
 
 class TestTrialFamily:
-    @pytest.mark.parametrize("count", [0, 1, 7])
+    # counts on both sides of each block boundary, and past two blocks
+    @pytest.mark.parametrize("count", [0, 1, 7, 31, 32, 33, 70])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_one_draw_gives_the_sequential_bits(self, dim, count):
         dom = DomainSpec(dim, np.pi, 4)
         fields, labels = default_trial_family(dom, count, seed=3)
+        fields = list(fields)
         # the oracle: one random_band_limited draw per trial
         expected = [ModalField.eigenmode(dom, (1,) * dim)]
         expected_labels = ["eigenmode-1"]
@@ -269,6 +272,10 @@ class TestTrialFamily:
         for trial in fields:
             with pytest.raises(ValueError):
                 trial.coeffs[0, 0, 0] = 1.0
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            default_trial_family(DomainSpec(3, np.pi, 4), -1, seed=0)
 
 
 class TestEstimateDepth:
@@ -303,6 +310,7 @@ class TestEstimateDepth:
     def test_monotone_under_family_growth(self):
         dom = DomainSpec(3, np.pi, 4)
         trials, _ = default_trial_family(dom, count=6, seed=1)
+        trials = list(trials)
         prev = math.inf
         for n in range(1, len(trials) + 1):
             est = estimate_depth(trials[:n], PARAMS)
@@ -349,6 +357,39 @@ class TestEstimateDepth:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             estimate_depth([], PARAMS)
+
+    def test_empty_iterator_rejected(self):
+        with pytest.raises(ValueError, match="trial family is empty"):
+            estimate_depth(iter(()), PARAMS)
+
+    def test_generator_on_different_domains_rejected(self):
+        trials = (ModalField.eigenmode(DomainSpec(3, np.pi, m), (1, 1, 1)) for m in (4, 5))
+        with pytest.raises(ValueError, match="different domains"):
+            estimate_depth(trials, PARAMS)
+
+    def test_stream_gives_the_bits_of_the_list(self):
+        # 70 random trials span three blocks
+        dom = DomainSpec(3, np.pi, 4)
+        streamed = estimate_depth(default_trial_family(dom, 70, seed=5)[0], PARAMS)
+        listed = estimate_depth(list(default_trial_family(dom, 70, seed=5)[0]), PARAMS)
+        assert len(streamed.trials) == 71
+        assert np.array(streamed.trials).tobytes() == np.array(listed.trials).tobytes()
+        assert np.float64(streamed.d_hat).tobytes() == np.float64(listed.d_hat).tobytes()
+
+    def test_memory_is_one_block(self):
+        # a family of 1000 trials at m=8 is 4.1 MB of coefficients; streamed,
+        # one block of TRIAL_BLOCK rows (131 kB) is alive at a time
+        dom = DomainSpec(3, np.pi, 8)
+        # fill the domain's caches and import what the generator imports
+        estimate_depth(default_trial_family(dom, 1, seed=0)[0], PARAMS)
+        tracemalloc.start()
+        try:
+            est = estimate_depth(default_trial_family(dom, 1000, seed=0)[0], PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(est.trials) == 1001
+        assert peak < 1_000_000
 
 
 class TestStableSetCheck:
