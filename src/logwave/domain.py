@@ -201,21 +201,23 @@ class ModalField:
 
     def __post_init__(self):
         coeffs = self.coeffs
-        # a read-only float array of the band's shape is kept as it is, with
-        # no conversion and no flag write: a row of a trial-family block
-        if (type(coeffs) is np.ndarray and coeffs.dtype == np.float64
-                and not coeffs.flags.writeable and coeffs.shape == self.domain.modal_shape):
-            return
-        arr = np.asarray(coeffs, dtype=float)
+        # a float64 ndarray is taken as it is and anything else converted; only
+        # a writeable array is copied (if it is the caller's) and frozen
+        if type(coeffs) is np.ndarray and coeffs.dtype == np.float64:
+            arr = coeffs
+        else:
+            arr = np.asarray(coeffs, dtype=float)
         if arr.shape != self.domain.modal_shape:
             raise ValueError(
                 f"coefficient shape {arr.shape} does not match modal band "
                 f"{self.domain.modal_shape}"
             )
-        if arr is self.coeffs and arr.flags.writeable:
-            arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        if arr.flags.writeable:
+            if arr is coeffs:
+                arr = arr.copy()
+            arr.flags.writeable = False
+        if arr is not coeffs:
+            object.__setattr__(self, "coeffs", arr)
 
     @classmethod
     def zeros(cls, domain: DomainSpec) -> "ModalField":

@@ -246,8 +246,9 @@ class TestProjection:
 
 
 class TestTrialFamily:
-    # counts on both sides of each block boundary, and past two blocks
-    @pytest.mark.parametrize("count", [0, 1, 7, 31, 32, 33, 70])
+    # counts on both sides of a block boundary, and past two blocks
+    @pytest.mark.parametrize("count", [0, 1, 7, well.TRIAL_BLOCK - 1, well.TRIAL_BLOCK,
+                                       well.TRIAL_BLOCK + 1, 2 * well.TRIAL_BLOCK + 6])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_one_draw_gives_the_sequential_bits(self, dim, count):
         dom = DomainSpec(dim, np.pi, 4)
@@ -368,17 +369,18 @@ class TestEstimateDepth:
             estimate_depth(trials, PARAMS)
 
     def test_stream_gives_the_bits_of_the_list(self):
-        # 70 random trials span three blocks
+        # the random trials span three blocks
+        count = 2 * well.TRIAL_BLOCK + 6
         dom = DomainSpec(3, np.pi, 4)
-        streamed = estimate_depth(default_trial_family(dom, 70, seed=5)[0], PARAMS)
-        listed = estimate_depth(list(default_trial_family(dom, 70, seed=5)[0]), PARAMS)
-        assert len(streamed.trials) == 71
+        streamed = estimate_depth(default_trial_family(dom, count, seed=5)[0], PARAMS)
+        listed = estimate_depth(list(default_trial_family(dom, count, seed=5)[0]), PARAMS)
+        assert len(streamed.trials) == count + 1
         assert np.array(streamed.trials).tobytes() == np.array(listed.trials).tobytes()
         assert np.float64(streamed.d_hat).tobytes() == np.float64(listed.d_hat).tobytes()
 
     def test_memory_is_one_block(self):
         # a family of 1000 trials at m=8 is 4.1 MB of coefficients; streamed,
-        # one block of TRIAL_BLOCK rows (131 kB) is alive at a time
+        # one block of well.TRIAL_BLOCK rows is alive at a time
         dom = DomainSpec(3, np.pi, 8)
         # fill the domain's caches and import what the generator imports
         estimate_depth(default_trial_family(dom, 1, seed=0)[0], PARAMS)
