@@ -39,7 +39,6 @@ from .solver import (
     COMPLETED,
     RUNNING,
     IntegrationResult,
-    SimState,
     SolverConfig,
     blowup_scan,
     integrate,

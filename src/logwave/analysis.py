@@ -371,8 +371,8 @@ def continuous_dependence(
             status = pert.status
             if status != COMPLETED:
                 break
-            d_rows.append(tuple(l2_norm_sq(sp.ut - sb.ut) + grad_norm_sq(sp.u - sb.u)
-                                for sb, sp in zip(base.states, pert.states)))
+            d_rows.append(tuple(l2_norm_sq(ut_p - ut_b) + grad_norm_sq(u_p - u_b)
+                                for (u_b, ut_b), (u_p, ut_p) in zip(base.states, pert.states)))
             # the next run starts with only the base trajectory held
             del pert
 
@@ -445,7 +445,7 @@ def convergence_study(
             failed_level = level
             break
         e_end.append(result.reports[-1].E)
-        u_end.append(math.sqrt(l2_norm_sq(result.final.u)))
+        u_end.append(math.sqrt(l2_norm_sq(result.u)))
         losses.append(loss0)
     else:
         diffs = [abs(b - a) for a, b in zip(e_end, e_end[1:])]

@@ -435,11 +435,10 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> _Result:
     verdict = stable_set_check(u0, u1, depth["d_hat"], cfg.well.safety, cfg.model)
 
     result = integrate(u0, u1, cfg.solver, cfg.model)
-    t_max = result.final.t if result.status == BLOWUP else None
     summary = {
         "command": "run",
         "status": result.status,
-        "t_max": t_max,
+        "t_max": result.t_max,
         "well_depth": depth,
         "stable_set": asdict(verdict),
         "E0": result.reports[0].E,
@@ -451,7 +450,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> _Result:
     }
     if result.status == BLOWUP:
         summary.update(checks=[], exit_code=EXIT_BLOWUP)
-        return EXIT_BLOWUP, summary, f"BLOWUP at t={t_max:.6g}", result.reports
+        return EXIT_BLOWUP, summary, f"BLOWUP at t={result.t_max:.6g}", result.reports
 
     checks, extras = run_checks(result.reports, cfg.domain, cfg.model, verdict)
     code = EXIT_OK if mandatory_ok(checks) else EXIT_CHECKS

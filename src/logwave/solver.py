@@ -19,8 +19,8 @@ order) and the residual of E(t) + integral - E(0), which would vanish for
 the exact flow and is O(dt^2) for the scheme.
 
 The time loop runs on the raw coefficient arrays of u and u_t, with the last
-source, the ledger and the last ||grad u_t||^2 as locals; ``ModalField`` and
-``SimState`` are built only at reports and for the final state.  The blow-up
+source, the ledger and the last ||grad u_t||^2 as locals; ``ModalField`` is
+built only at reports and for the state at a blow-up.  The blow-up
 scan decides from ||grad u||^2 and ||grad u_t||^2, which the loop computes
 once per step (the second feeds the ledger).  A sum of non-negative terms is
 finite only when every coefficient is, so the two ``isfinite`` passes run
@@ -79,21 +79,20 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """State (u, u_t) plus the discrete dissipation ledger."""
+class IntegrationResult:
+    """One trajectory: its reports, its status and its last state (u, ut).
 
+    The last state is the last report's, or after a BLOWUP the state at
+    ``t_max``, the blow-up step's time (None for a completed run).  Under
+    ``store_states``, ``states`` holds each report's (u, ut) pair.
+    """
+
+    reports: list[EnergyReport]
+    status: str
     u: ModalField
     ut: ModalField
-    t: float = 0.0
-    damping_integral: float = 0.0
-
-
-@dataclass
-class IntegrationResult:
-    reports: list[EnergyReport]
-    final: SimState
-    status: str
-    states: list[SimState] | None = None
+    t_max: float | None
+    states: list[tuple[ModalField, ModalField]] | None
 
 
 def blowup_scan(a: np.ndarray, b: np.ndarray, grad_sq: float, grad_ut_sq: float,
@@ -177,20 +176,22 @@ def integrate(
 
     A report (and, when requested, a state snapshot) is emitted at t = 0 and
     every ``report_every`` steps.  Integration stops early with BLOWUP
-    status when the divergence detector fires; the time of the final state
-    is then the first offending time, the maximal-existence-time estimate.
+    status when the divergence detector fires; ``t_max`` is then the first
+    offending time, the maximal-existence-time estimate, and ``u``, ``ut``
+    the state there.
     An E(0) that is not finite raises ``InitialEnergyError``: the energy
     ledger is relative to it.
     """
     dom = u0.domain
-    state = SimState(u=u0, ut=u1)
     # an overflowing E(0) is reported by the test below, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         rep0 = energy(u0, u1, params)
     if not math.isfinite(rep0.E):
         raise InitialEnergyError(f"initial energy E(0) = {rep0.E!r} is not finite")
     reports = [rep0]
-    states = [state] if store_states else None
+    states = [(u0, u1)] if store_states else None
+    # the last state of a run whose t_end / dt rounds to no step
+    u, ut = u0, u1
 
     a, b, f, damp = u0.coeffs, u1.coeffs, None, 0.0
     grad_ut_sq = coeff_grad_norm_sq(dom, b)
@@ -203,14 +204,12 @@ def integrate(
                              cfg.blowup_threshold)
         if status == RUNNING and n % cfg.report_every and n != n_steps:
             continue
-        state = SimState(ModalField(dom, a), ModalField(dom, b), n * cfg.dt, damp)
+        u, ut = ModalField(dom, a), ModalField(dom, b)
         if status == BLOWUP:
-            return IntegrationResult(reports=reports, final=state, status=BLOWUP,
-                                     states=states)
-        rep = energy(state.u, state.ut, params)
-        reports.append(replace(rep, t=state.t, damping_integral=damp,
+            return IntegrationResult(reports, BLOWUP, u, ut, n * cfg.dt, states)
+        rep = energy(u, ut, params)
+        reports.append(replace(rep, t=n * cfg.dt, damping_integral=damp,
                                identity_residual=rep.E + damp - rep0.E))
         if states is not None:
-            states.append(state)
-    return IntegrationResult(reports=reports, final=state, status=COMPLETED,
-                             states=states)
+            states.append((u, ut))
+    return IntegrationResult(reports, COMPLETED, u, ut, None, states)

@@ -182,8 +182,8 @@ def test_07_linear_oracle():
     cfg = SolverConfig(dt=1e-4, t_end=1.0, report_every=50)
     u0 = ModalField.eigenmode(dom, (1, 1, 1))
     result = integrate(u0, ModalField.zeros(dom), cfg, params, store_states=True)
-    ts = np.array([s.t for s in result.states])
-    got = np.array([s.u.coeffs[0, 0, 0] for s in result.states])
+    ts = np.array([r.t for r in result.reports])
+    got = np.array([u.coeffs[0, 0, 0] for u, _ in result.states])
     # a'' + 3 a' + 3 a = 0, a(0)=1, a'(0)=0; roots (-3 +- i sqrt(3))/2
     sig, om = -1.5, math.sqrt(3) / 2
     exact = np.exp(sig * ts) * (np.cos(om * ts) - sig / om * np.sin(om * ts))

@@ -8,7 +8,7 @@ import sys
 import textwrap
 import tracemalloc
 import weakref
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, fields
 from pathlib import Path
 from unittest import mock
 
@@ -35,6 +35,7 @@ from logwave.solver import (
     COMPLETED,
     RUNNING,
     SCHEMES,
+    IntegrationResult,
     SolverConfig,
     blowup_scan,
     integrate,
@@ -113,7 +114,7 @@ class TestStep:
         assert not np.any(f)
         one = integrate(ModalField.zeros(dom), ModalField.zeros(dom),
                         SolverConfig(dt=1e-3, t_end=1e-3), PARAMS)
-        assert one.final.damping_integral == 0.0
+        assert one.reports[-1].damping_integral == 0.0
 
     def test_first_imex2_step_equals_imex1(self):
         dom = DomainSpec(3, np.pi, 4)
@@ -145,8 +146,8 @@ class TestStep:
         u0 = ModalField.eigenmode(dom, k, 1.0)
         result = integrate(u0, ModalField.zeros(dom), cfg, params, store_states=True)
         idx = tuple(ki - 1 for ki in k)
-        ts = np.array([s.t for s in result.states])
-        got = np.array([s.u.coeffs[idx] for s in result.states])
+        ts = np.array([r.t for r in result.reports])
+        got = np.array([u.coeffs[idx] for u, _ in result.states])
         exact = damped_mode_exact(float(lam), ts)
         assert np.abs(got - exact).max() <= 1e-6 * np.abs(exact).max()
 
@@ -222,7 +223,7 @@ class TestBlowupScan:
         u0 = ModalField.eigenmode(dom, (1,), 10.0)
         result = integrate(u0, ModalField.zeros(dom), cfg, params_1d())
         assert result.status == BLOWUP
-        assert result.final.t < 20.0
+        assert result.t_max < 20.0
 
 
 @pytest.fixture(scope="module")
@@ -311,20 +312,19 @@ class TestIntegrate:
 
         assert result.status == status
         assert len(result.states) == len(result.reports) == len(expected)
-        for state, rep, (k, a_k, b_k, damp_k) in zip(result.states, result.reports, expected):
-            assert np.array_equal(state.u.coeffs, a_k)
-            assert np.array_equal(state.ut.coeffs, b_k)
-            assert state.t == rep.t == k * dt
-            assert state.damping_integral == rep.damping_integral == damp_k
-        ledger = [s.damping_integral for s in result.states]
+        for (u, ut), rep, (k, a_k, b_k, damp_k) in zip(result.states, result.reports, expected):
+            assert np.array_equal(u.coeffs, a_k)
+            assert np.array_equal(ut.coeffs, b_k)
+            assert rep.t == k * dt
+            assert rep.damping_integral == damp_k
+        ledger = [r.damping_integral for r in result.reports]
         assert all(d1 >= d0 for d0, d1 in zip(ledger, ledger[1:]))
-        final = result.states[-1] if status == COMPLETED else result.final
-        assert np.array_equal(final.u.coeffs, a) and np.array_equal(final.ut.coeffs, b)
-        assert final.t == n * dt and final.damping_integral == damp
+        assert np.array_equal(result.u.coeffs, a) and np.array_equal(result.ut.coeffs, b)
         if status == BLOWUP:
-            assert result.final.t == n * dt
+            assert result.t_max == n * dt
         else:
-            assert result.final is final
+            assert result.t_max is None
+            assert result.states[-1][0] is result.u and result.states[-1][1] is result.ut
 
     @pytest.mark.parametrize("call", [
         lambda u, v: integrate(u, v, SolverConfig(dt=1e-2, t_end=0.1), PARAMS),
@@ -338,6 +338,30 @@ class TestIntegrate:
         v = ModalField.zeros(DomainSpec(3, 2 * np.pi, 4))
         with pytest.raises(ValueError, match="different domains"):
             call(u, v)
+
+    def test_one_frozen_record_per_trajectory(self):
+        assert [f.name for f in fields(IntegrationResult)] == [
+            "reports", "status", "u", "ut", "t_max", "states"]
+        dom = DomainSpec(1, np.pi, 16, 2)
+        u0 = ModalField.eigenmode(dom, (1,), 0.1)
+        done = integrate(u0, ModalField.zeros(dom), SolverConfig(dt=1e-3, t_end=0.05),
+                         params_1d(), store_states=True)
+        assert done.status == COMPLETED and done.t_max is None
+        assert len(done.states) == len(done.reports) == 6
+        assert done.states[-1][0] is done.u and done.states[-1][1] is done.ut
+        with pytest.raises(FrozenInstanceError):
+            done.t_max = 1.0
+
+        dt, threshold = 1e-3, 1e3
+        cfg = SolverConfig(dt=dt, t_end=20.0, blowup_threshold=threshold)
+        blown = integrate(u0.scaled(100.0), ModalField.zeros(dom), cfg, params_1d(),
+                          store_states=True)
+        assert blown.status == BLOWUP
+        n = round(blown.t_max / dt)
+        assert blown.reports[-1].t < blown.t_max == n * dt
+        # u is the state at the blow-up step, not at the last report
+        assert grad_norm_sq(blown.u) > threshold * threshold
+        assert len(blown.states) == len(blown.reports)
 
     def test_report_cadence_and_times(self, short_stable_run):
         _, runs = short_stable_run

@@ -9,8 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logwave import well
-from logwave.domain import DomainSpec, ModalField, random_band_limited
-from logwave.functionals import ModelParams, energy
+from logwave.domain import (
+    DomainSpec,
+    ModalField,
+    analyze,
+    coeff_grad_norm_sq,
+    l2_norm_sq,
+    random_band_limited,
+    synthesize,
+)
+from logwave.functionals import ModelParams, energy, source_eval
+from logwave.solver import BLOWUP, SolverConfig, integrate
 from logwave.well import (
     DegenerateFieldError,
     FiberMoments,
@@ -71,6 +80,36 @@ def golden_section(m: FiberMoments, gamma: float, lo: float, hi: float) -> float
         if hi - lo < 1e-12 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def descend_to_ground_state(dom: DomainSpec, params: ModelParams,
+                            max_iter: int = 500) -> tuple[ModalField, float]:
+    """The band's ground state and its J, by projected Sobolev-gradient descent.
+
+    From the Nehari projection of the first eigenmode, step
+    a <- P_N(a - tau (a - F/lambda)), with F the modal projection of the
+    source at a (so a - F/lambda is the H^1_0 gradient of J) and P_N the
+    closed-form Nehari projection.  Each step's tau starts at 0.5 and halves
+    while J rises, down to a floor: near convergence J moves by roundoff
+    only, and halving would never end.  Stops at a relative H^1 residual
+    of 1e-9.
+    """
+    def project(coeffs):
+        lam, j = project_to_nehari(ModalField(dom, coeffs), params)
+        return lam * coeffs, j
+
+    a, J = project(ModalField.eigenmode(dom, (1,) * dom.dim).coeffs)
+    for _ in range(max_iter):
+        s = a - analyze(dom, source_eval(synthesize(dom, a), params.gamma)) / dom.eigenvalues
+        if coeff_grad_norm_sq(dom, s) <= 1e-18 * coeff_grad_norm_sq(dom, a):
+            return ModalField(dom, a), J
+        tau = 0.5
+        b, J_b = project(a - tau * s)
+        while J_b > J and tau > 1e-6:
+            tau /= 2
+            b, J_b = project(a - tau * s)
+        a, J = b, J_b
+    pytest.fail(f"descent reached no H^1 residual of 1e-9 in {max_iter} iterations")
 
 
 class TestFiberMoments:
@@ -432,6 +471,22 @@ class TestStableSetCheck:
         assert verdict.status == "OUT_E"
         assert verdict.I0 > 0
         assert verdict.E0 >= verdict.threshold
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the IN threshold safety * d_hat lies above the band's own depth at gamma >= 4.5"))
+    def test_in_verdict_data_do_not_blow_up(self):
+        # just below the ground state phi, with kinetic energy 1: E0 = 9.71 lies
+        # under the threshold 0.5 * d_hat = 11.57 and I0 > 0, yet E0 exceeds the
+        # depth J(phi) = 8.72, and the run blows up at t = 0.697
+        dom = DomainSpec(3, np.pi, 8, 2)
+        params = ModelParams(5.5, 3)
+        phi, _ = descend_to_ground_state(dom, params)
+        u0 = phi.scaled(0.99)
+        u1 = phi.scaled(math.sqrt(2.0 / l2_norm_sq(phi)))
+        d_hat = estimate_depth(default_trial_family(dom, 32, 0)[0], params).d_hat
+        verdict = stable_set_check(u0, u1, d_hat, 0.5, params)
+        result = integrate(u0, u1, SolverConfig(dt=1e-3, t_end=5.0), params)
+        assert not (verdict.status == well.IN and result.status == BLOWUP)
 
     def test_parameter_validation(self, depth):
         dom, d_hat = depth
