@@ -1,10 +1,12 @@
-"""Post-processing of trajectories: decay fits, identity and bound checks.
+"""Post-processing of trajectories: the decay fit, identity and bound checks.
 
 All checks operate on report samples; time integrals use the trapezoidal
 rule on the report grid, so their accuracy is set by the report spacing
 (keep report_every * dt small, of the order of ten steps, when these
 residuals matter).  The virial identity is checked on every interval
-between two reports at once, from one cumulative sum.
+between two reports at once, from one cumulative sum.  There is one decay
+fit, ``fit_decay(reports)``, with a fixed window; the library, the check
+table and the summary all read it.
 
 ``CHECKS`` is the verification table: one row per invariant with its name,
 mandatory flag, tolerance and measure.  ``run_checks`` evaluates it for the
@@ -26,8 +28,9 @@ from .functionals import EnergyReport, ModelParams, uniform_bound_constant
 from .solver import BLOWUP, COMPLETED, SolverConfig, integrate
 from .well import IN, StableSetVerdict
 
-# absolute energy floor below which report samples are excluded from fits
-# and ratio estimates
+# absolute energy floor: a decay fit needs ten window samples above it (the
+# fit itself takes every positive sample), and the integral-bound estimates
+# read only the samples at or above it
 ENERGY_FLOOR = 1e-14
 
 
@@ -37,7 +40,7 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Log-linear fit E(t) ~ C1 exp(-C2 t) over a window."""
+    """Log-linear fit E(t) ~ C1 exp(-C2 t) over the window of ``fit_decay``."""
 
     C1: float
     C2: float
@@ -88,36 +91,27 @@ def _loglinear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r_squared
 
 
-def fit_decay(
-    reports: list[EnergyReport],
-    window: tuple[float, float] | None = None,
-    min_energy: float = ENERGY_FLOOR,
-) -> DecayFit:
-    """Least-squares line on (t, ln E) inside the window.
+def fit_decay(reports: list[EnergyReport]) -> DecayFit:
+    """Least-squares line on (t, ln E) over the window [0.1, 0.75] * t_end.
 
-    The default window [0.1, 0.75] * t_end skips the initial transient and
-    the late near-floor samples.  Samples need E > 1e-14 to count toward
-    the ten required for a meaningful fit; ``min_energy`` sets which
-    samples actually enter the regression (pass 0.0 to use every positive
-    sample, e.g. when the tail is known to be accurate and the window is
-    long enough that excluding it would bias the fit).
+    The window skips the initial transient.  Every positive, finite sample
+    in it enters the regression: the decay tail of a resolved run is
+    accurate far below the floor, and leaving it out biases the fit.  At
+    least ten of the samples must lie above ``ENERGY_FLOOR``, else
+    ``FitError``.
     """
     c = _columns(reports)
     t, E = c["t"], c["E"]
-    if window is None:
-        t_end = t[-1] if len(t) else 0.0
-        window = (0.1 * t_end, 0.75 * t_end)
+    t_end = t[-1] if len(t) else 0.0
+    window = (0.1 * t_end, 0.75 * t_end)
     in_window = (t >= window[0]) & (t <= window[1])
     if int(np.sum(in_window & (E > ENERGY_FLOOR))) < 10:
         raise FitError(
             f"need >= 10 samples with E > {ENERGY_FLOOR:g} in window {window}"
         )
-    keep = in_window & (E > max(min_energy, 0.0)) & np.isfinite(E)
+    keep = in_window & (E > 0.0) & np.isfinite(E)
     slope, intercept, r_squared = _loglinear_fit(t[keep], E[keep])
-    return DecayFit(
-        C1=float(np.exp(intercept)), C2=-slope, window=window,
-        r_squared=r_squared, n_samples=int(np.sum(keep)),
-    )
+    return DecayFit(float(np.exp(intercept)), -slope, window, r_squared, int(np.sum(keep)))
 
 
 def _energy_scale(reports: list[EnergyReport]) -> float:
@@ -236,10 +230,8 @@ class CheckInput:
 
     @cached_property
     def fit(self) -> DecayFit | None:
-        # the decay tail of a resolved run is accurate far below the absolute
-        # energy floor, and the fixed window needs those samples: fit them all
         try:
-            return fit_decay(self.reports, min_energy=0.0)
+            return fit_decay(self.reports)
         except FitError:
             return None
 

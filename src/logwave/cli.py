@@ -21,8 +21,8 @@ modal shape.  csv_path and json_path are two distinct bare file names, both
 written in --output-dir, and neither is the other plus ".tmp" (each file is
 written to its name plus ".tmp" first), and has no NUL byte and at most 251
 bytes encoded; any other name exits 2 before any work.  SolverConfig itself
-rejects a t_end that is not a whole number of dt steps.  Unknown and
-repeated keys are rejected.
+rejects a t_end that is not a whole number of dt steps, or is zero steps.
+Unknown and repeated keys are rejected.
 Exit codes: 0 success, 2 configuration or data error, 3 blow-up, 4 mandatory
 check failure.  Only ``main`` prints, and a command that exits 2 prints
 nothing on stdout.

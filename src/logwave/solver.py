@@ -66,9 +66,11 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        # integrate takes round(t_end / dt) steps and would silently move any other t_end
+        # integrate takes round(t_end / dt) steps and would silently move any other
+        # t_end, or take none when t_end / dt underflows
         n_steps = self.t_end / self.dt
-        if not (math.isfinite(n_steps) and math.isclose(n_steps, round(n_steps), rel_tol=1e-9)):
+        if not (math.isfinite(n_steps) and round(n_steps) >= 1
+                and math.isclose(n_steps, round(n_steps), rel_tol=1e-9)):
             raise ValueError(f"t_end ({self.t_end!r}) must be a whole number of dt ({self.dt!r}) steps")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
@@ -190,8 +192,6 @@ def integrate(
         raise InitialEnergyError(f"initial energy E(0) = {rep0.E!r} is not finite")
     reports = [rep0]
     states = [(u0, u1)] if store_states else None
-    # the last state of a run whose t_end / dt rounds to no step
-    u, ut = u0, u1
 
     a, b, f, damp = u0.coeffs, u1.coeffs, None, 0.0
     grad_ut_sq = coeff_grad_norm_sq(dom, b)

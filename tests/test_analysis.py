@@ -1,7 +1,7 @@
 import math
 import operator
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -83,19 +83,36 @@ class TestFitDecay:
         assert fit.r_squared == pytest.approx(1.0)
 
     def test_window_restricts_samples(self):
+        # on t in [0, 10] the window is [1, 7.5]; the rate doubles after it
         ts = np.linspace(0, 10, 101)
-        es = np.where(ts < 5, np.exp(-ts), np.exp(-2 * ts + 5))
-        fit = fit_decay(synthetic_reports(ts, es), window=(0.0, 4.9))
+        es = np.where(ts <= 7.5, np.exp(-ts), np.exp(-2 * ts + 7.5))
+        fit = fit_decay(synthetic_reports(ts, es))
+        assert fit.window == (1.0, 7.5)
         assert fit.C2 == pytest.approx(1.0, rel=1e-10)
 
-    def test_floor_excludes_samples(self):
+    def test_samples_below_floor_enter_fit(self):
         ts = np.linspace(0, 10, 101)
         es = np.exp(-10 * ts)  # drops below 1e-14 near t = 3.2
-        fit = fit_decay(synthetic_reports(ts, es), window=(0.0, 10.0))
-        assert fit.n_samples < len(ts)
-        all_in = fit_decay(synthetic_reports(ts, es), window=(0.0, 10.0), min_energy=0.0)
-        assert all_in.n_samples == len(ts)
-        assert all_in.C2 == pytest.approx(10.0, rel=1e-12)
+        fit = fit_decay(synthetic_reports(ts, es))
+        # every sample of [1, 7.5], the 43 below the floor among them
+        assert fit.n_samples == 66
+        assert fit.C2 == pytest.approx(10.0, rel=1e-14)
+
+    @given(c1=st.floats(1e-3, 1e3), c2=st.floats(0.05, 10.0),
+           t_end=st.floats(1.0, 40.0), n=st.integers(30, 400))
+    @settings(deadline=None, max_examples=200)
+    def test_pure_exponential_recovers_rate(self, c1, c2, t_end, n):
+        ts = np.linspace(0, t_end, n)
+        es = c1 * np.exp(-c2 * ts)
+        in_window = (ts >= 0.1 * ts[-1]) & (ts <= 0.75 * ts[-1])
+        reports = synthetic_reports(ts, es)
+        if np.sum(in_window & (es > ENERGY_FLOOR)) >= 10:
+            fit = fit_decay(reports)
+            assert fit.C2 == pytest.approx(c2, rel=1e-9)
+            assert fit.n_samples == np.sum(in_window & (es > 0))
+        else:
+            with pytest.raises(FitError):
+                fit_decay(reports)
 
     def test_insufficient_samples(self):
         ts = np.linspace(0, 1, 5)
@@ -355,6 +372,15 @@ class TestCheckTable:
         for status, expected in ((IN, 0.25), ("OUT_E", None)):
             verdict = StableSetVerdict(status, I0=1.0, E0=0.1, threshold=0.25)
             assert threshold(replace(run, verdict=verdict)) == expected
+
+    def test_library_fit_is_the_table_fit(self):
+        # the tail crosses the energy floor near t = 11, inside the window
+        # [2, 15]: the library and the summary fit the same samples
+        ts = np.linspace(0, 20, 401)
+        es = np.exp(-3 * ts) * (1 + 0.1 * np.cos(5 * ts))
+        reports = synthetic_reports(ts, es)
+        _, extras = run_checks(reports, DomainSpec(3, np.pi, 4), PARAMS)
+        assert extras["decay_fit"] == asdict(fit_decay(reports))
 
     def test_each_check_function_runs_once_by_module_name(self, monkeypatch):
         # the table must reach rebound names: the benchmark's tracer rebinds them

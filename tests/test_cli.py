@@ -238,8 +238,10 @@ class TestParseConfig:
         cfg = fast_run_config(tmp_path, model={"gamma": 7.0, "unsafe_gamma": "false"})
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
 
-    # a subnormal dt gives an infinite step count
-    @pytest.mark.parametrize("t_end,dt", [(1.0, 0.3), (0.25, 0.1), (1e-4, 1e-3), (1.0, 5e-324)])
+    # a subnormal dt gives an infinite step count, and t_end / dt underflowing
+    # to 0 gives no step
+    @pytest.mark.parametrize("t_end,dt", [(1.0, 0.3), (0.25, 0.1), (1e-4, 1e-3), (1.0, 5e-324),
+                                          (1e-300, 1e300)])
     def test_t_end_must_be_multiple_of_dt(self, tmp_path, t_end, dt):
         doc = dict(MINIMAL, solver={"dt": dt, "t_end": t_end})
         with pytest.raises(ConfigError, match="solver: t_end .* whole number of dt"):

@@ -545,3 +545,6 @@ class TestSolverConfig:
             SolverConfig(dt=0.3, t_end=1.0)
         with pytest.raises(ValueError, match="whole number of dt"):
             SolverConfig(dt=5e-324, t_end=1.0)
+        # or take no step at all: t_end / dt underflows to 0
+        with pytest.raises(ValueError, match="whole number of dt"):
+            SolverConfig(dt=1e300, t_end=1e-300)
