@@ -74,9 +74,12 @@ class EstimateSuite:
     n_s_samples: int
 
 
+def _column(reports: list[EnergyReport], name: str) -> np.ndarray:
+    return np.array([getattr(r, name) for r in reports], dtype=float)
+
+
 def _columns(reports: list[EnergyReport]) -> dict[str, np.ndarray]:
-    return {f.name: np.array([getattr(r, f.name) for r in reports], dtype=float)
-            for f in fields(EnergyReport)}
+    return {f.name: _column(reports, f.name) for f in fields(EnergyReport)}
 
 
 def _loglinear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -100,8 +103,7 @@ def fit_decay(reports: list[EnergyReport]) -> DecayFit:
     least ten of the samples must lie above ``ENERGY_FLOOR``, else
     ``FitError``.
     """
-    c = _columns(reports)
-    t, E = c["t"], c["E"]
+    t, E = _column(reports, "t"), _column(reports, "E")
     t_end = t[-1] if len(t) else 0.0
     window = (0.1 * t_end, 0.75 * t_end)
     in_window = (t >= window[0]) & (t <= window[1])
@@ -125,8 +127,7 @@ def check_energy_identity(reports: list[EnergyReport]) -> float:
     """Max |E(t) + dissipation ledger - E(0)| relative to ``_energy_scale``."""
     if not reports:
         raise ValueError("empty trajectory")
-    res = max(abs(r.identity_residual) for r in reports)
-    return res / _energy_scale(reports)
+    return float(np.max(np.abs(_column(reports, "identity_residual")))) / _energy_scale(reports)
 
 
 def check_virial_identity(reports: list[EnergyReport]) -> float:
@@ -170,16 +171,14 @@ def check_integral_bound(
     valid = E >= ENERGY_FLOOR
 
     pos = valid & (grad > 0)
-    delta_hat = min(1.0, float(np.min(I[pos] / grad[pos]))) if pos.any() else float("nan")
+    delta_hat = float(np.min(I[pos] / grad[pos], initial=1.0)) if pos.any() else float("nan")
     cw_hat = float(np.max(lg[pos] / grad[pos])) if pos.any() else float("nan")
 
     cp = poincare_constant(domain)
     gut = c["grad_ut_sq"]
     vel = np.isfinite(gut) & (gut > 0)
-    if vel.any():
-        poincare_margin = float(np.max(np.sqrt(2.0 * c["kinetic"][vel] / gut[vel])) / cp)
-    else:
-        poincare_margin = float("nan")
+    poincare_margin = (float(np.max(np.sqrt(2.0 * c["kinetic"][vel] / gut[vel])) / cp)
+                       if vel.any() else float("nan"))
 
     admissible = valid & (t <= t[-1] / 2.0)
     admissible[-1] = False
@@ -259,6 +258,14 @@ def _max_energy_rise(run: CheckInput) -> float:
     return (float(np.max(rises)) if rises.size else 0.0) / run.e_scale
 
 
+def _uniform_bound(run: CheckInput) -> float:
+    kinetic, grad_sq, lgamma = (_column(run.reports, name) for name in ("kinetic", "grad_sq", "lgamma"))
+    # overflowing rows give inf, and inf - inf gives nan: a FAIL, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(uniform_bound_constant(run.params.gamma)
+                            * (2.0 * kinetic + grad_sq + lgamma) / run.e_scale))
+
+
 def _virial(run: CheckInput) -> float | None:
     try:
         return check_virial_identity(run.reports)
@@ -277,14 +284,12 @@ CHECKS = (
           lambda run: check_energy_identity(run.reports)),
     Check("monotone_dissipation", True, 1e-10, operator.le, _max_energy_rise),
     Check("invariance_I_positive", True, 0.0, operator.gt,
-          lambda run: min(r.I for r in run.reports) if run.stable else None),
+          lambda run: float(np.min(_column(run.reports, "I"))) if run.stable else None),
     Check("invariance_E_below_threshold", True,
           lambda run: run.verdict.threshold if run.stable else None, operator.lt,
-          lambda run: max(r.E for r in run.reports) if run.stable else None),
+          lambda run: float(np.max(_column(run.reports, "E"))) if run.stable else None),
     Check("uniform_bound", True, 1.0, operator.lt,
-          lambda run: max(uniform_bound_constant(run.params.gamma)
-                          * (2.0 * r.kinetic + r.grad_sq + r.lgamma) / run.e_scale
-                          for r in run.reports) if run.stable else None),
+          lambda run: _uniform_bound(run) if run.stable else None),
     Check("virial_identity", True, 1e-3, operator.le, _virial),
     Check("poincare_margin", True, 1.0 + 1e-10, operator.le,
           lambda run: _if_finite(run.suite.poincare_margin)),

@@ -8,8 +8,9 @@ left out or null takes the default, and one without a default is required.
     model:   gamma (required), unsafe_gamma=false, source_enabled=true
     solver:  dt=1e-3, t_end=20.0 (an integer multiple of dt), scheme="IMEX2",
              blowup_threshold=1e8, report_every=10
-    initial: type="eigenmode" | "random" | "file", amplitude (required for
-             eigenmode/random), mode=[1,...], seed=0, path (required for file)
+    initial: type="eigenmode" | "random" | "file", seed=0, and only its type's
+             keys: eigenmode: amplitude (required), mode=[1,...]; random:
+             amplitude (required); file: path (required), amplitude (1.0)
     well:    trial_count=32, safety=0.5, seed=0
     outputs: csv_path="trajectory.csv", json_path="summary.json"
     study:   m_list=[4,8,16], epsilons=[1e-3,1e-4]
@@ -157,8 +158,8 @@ def _epsilons(value, path: str) -> tuple[float, ...]:
 
 
 # Each section's dataclass and its keys, each with the reader that checks and
-# converts its value.  The key sets are the whole schema: any other section or
-# key is rejected.  Every default is the dataclass field's own.
+# converts its value; any other section or key is rejected.  parse_config sets
+# the defaults of initial.mode and a file's amplitude; the rest are the fields'.
 _SCHEMA = {
     "domain": (DomainSpec, {"dim": _integer, "length": _number,
                             "modes_per_dim": _integer, "oversample": _integer}),
@@ -172,6 +173,11 @@ _SCHEMA = {
     "outputs": (OutputSpec, {"csv_path": _string, "json_path": _string}),
     "study": (StudySpec, {"m_list": _m_list, "epsilons": _epsilons}),
 }
+
+# the initial keys each type reads; seed for every type, as depend draws from it
+_INITIAL_KEYS = {"eigenmode": ("type", "amplitude", "mode", "seed"),
+                 "random": ("type", "amplitude", "seed"),
+                 "file": ("type", "path", "amplitude", "seed")}
 
 
 def _read(doc: dict, section: str) -> dict:
@@ -243,23 +249,21 @@ def parse_config(text: str) -> RunConfig:
 
     values = _read(doc, "initial")
     kind = values.get("type", InitialSpec.type)
-    if kind not in ("eigenmode", "random", "file"):
+    if kind not in _INITIAL_KEYS:
         raise ConfigError(f"'initial.type' must be eigenmode, random or file, got {kind!r}")
-    path = values.pop("path", None)
+    for key in values:
+        if key not in _INITIAL_KEYS[kind]:
+            raise ConfigError(f"'initial.{key}' is not read by type={kind}")
     if kind == "file":
-        if not path:
+        if not values.get("path"):
             raise ConfigError("missing required key 'initial.path' for type=file")
         values.setdefault("amplitude", 1.0)
-    if path:
-        values["path"] = path
     mode = values.get("mode", [1] * domain.dim)
     if (not isinstance(mode, list) or len(mode) != domain.dim
             or not all(isinstance(k, int) and not isinstance(k, bool) for k in mode)):
         raise ConfigError(f"'initial.mode' must be a list of {domain.dim} integers")
     if not all(1 <= k <= domain.modes_per_dim for k in mode):
-        raise ConfigError(
-            f"'initial.mode' indices must lie in 1..{domain.modes_per_dim}"
-        )
+        raise ConfigError(f"'initial.mode' indices must lie in 1..{domain.modes_per_dim}")
     initial = _build("initial", {**values, "mode": tuple(mode)})
 
     well = _build("well", _read(doc, "well"))

@@ -15,10 +15,10 @@ j = 1..N with N = oversample * m per dimension.  Synthesis multiplies each
 axis by the N x m sine matrix S[j, k] = sin(pi j k / (N+1)) (j = 1..N,
 k = 1..m), and analysis by (2/(N+1)) S^T; by the discrete orthogonality of
 the first N sines on this grid, analysis inverts synthesis on the band.
-In 3-D the first product of synthesis is one GEMM over the merged leading
-axes, (m*m, m) @ S^T, which gives the bits of the batched (m, m, m) @ S^T.
-Analysis keeps the batched form: merging its leading axes moved the last bit
-at m = 9, 10 and 11 (OpenBLAS 0.3.31 on an AVX-512 CPU).
+Each transform is one sequence of per-axis products; the dimension n sets
+only how many run: the last axis if n > 1 (one GEMM over the merged leading
+axes in synthesis, batched in analysis, where merging moved the last bit at
+m = 9-11 with OpenBLAS 0.3.31 on AVX-512), the middle if n = 3, then the first.
 At these band sizes the precomputed-matrix product is cheaper than a padded
 FFT-based sine transform of length N+1 (Boyd, Chebyshev and Fourier Spectral
 Methods, 2nd ed., ch. 10).  The trapezoidal rule (weight h^n, boundary
@@ -161,13 +161,12 @@ class DomainSpec:
 
     @cached_property
     def _transform_scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two flat arrays of m*m*N and m*N*N values (m modes, N grid points
-        per axis) for the intermediate products of a 3-D ``synthesize`` or
-        ``analyze``.  Fresh ones, 64 and 128 kB at m=16, came from the top of
-        the heap, which the allocator could trim between two runs and the
-        next run then faulted back in.  Not for concurrent threads."""
+        """Two flat arrays of m^(n-1)*N and N^(n-1)*m values for the transforms'
+        intermediate products.  Fresh ones, 64 and 128 kB at m=16 in 3-D, came
+        from the top of the heap, which the allocator could trim between two
+        runs and the next run then faulted back in.  Not for concurrent threads."""
         m, n = self.modes_per_dim, self.grid_per_dim
-        return _aligned_arrays(m * m * n, m * n * n)
+        return _aligned_arrays(m ** (self.dim - 1) * n, n ** (self.dim - 1) * m)
 
     @cached_property
     def step_cache(self) -> dict:
@@ -255,38 +254,34 @@ class ModalField:
 def synthesize(domain: DomainSpec, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate modal coefficients on the quadrature grid (raw arrays).
 
-    The last product is written into ``out``, a C-contiguous float array of
-    ``grid_shape`` (a fresh one when None), which is returned; in 3-D the
-    other two go into a buffer that the domain keeps.
+    The last product goes into ``out``, a C-contiguous ``grid_shape`` float
+    array (fresh when None) that is returned; the others into the domain's buffer.
     """
     if out is None:
         out = np.empty(domain.grid_shape)
     s = domain.synthesis_matrix
-    if domain.dim == 1:
-        return np.matmul(s, coeffs, out=out)
-    if domain.dim == 2:
-        return np.matmul(s, coeffs @ s.T, out=out)
     m, n = domain.modes_per_dim, domain.grid_per_dim
     small, large = domain._transform_scratch
-    x = np.matmul(coeffs.reshape(m * m, m), s.T, out=small.reshape(m * m, n))
-    x = np.matmul(s, x.reshape(m, m, n), out=large.reshape(m, n, n))
+    x = coeffs
+    if domain.dim > 1:
+        x = np.matmul(x.reshape(-1, m), s.T, out=small.reshape(-1, n))
+    if domain.dim == 3:
+        x = np.matmul(s, x.reshape(m, m, n), out=large.reshape(m, n, n))
     np.matmul(s, x.reshape(m, -1), out=out.reshape(n, -1))
     return out
 
 
 def analyze(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
     """L2-project grid values onto the modal band (raw arrays), into a fresh
-    array; in 3-D the intermediate products go into a buffer that the domain
-    keeps."""
+    array; the intermediate products go into a buffer that the domain keeps."""
     a = domain.analysis_matrix
-    if domain.dim == 1:
-        return a @ values
-    if domain.dim == 2:
-        return a @ (values @ a.T)
     m, n = domain.modes_per_dim, domain.grid_per_dim
     small, large = domain._transform_scratch
-    x = np.matmul(values, a.T, out=large.reshape(n, n, m))
-    x = np.matmul(a, x, out=small.reshape(n, m, m))
+    x = values
+    if domain.dim > 1:
+        x = np.matmul(x, a.T, out=large.reshape(-1, n, m))
+    if domain.dim == 3:
+        x = np.matmul(a, x, out=small.reshape(n, m, m))
     return (a @ x.reshape(n, -1)).reshape(domain.modal_shape)
 
 

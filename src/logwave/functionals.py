@@ -236,9 +236,7 @@ def log_bound_small(s, gamma: float):
         raise ValueError("s must lie strictly inside (0, 1)")
     lhs = arr ** (gamma - 1.0) * np.abs(np.log(arr))
     bound = 1.0 / (math.e * (gamma - 1.0))
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(lhs), bound
-    return lhs, bound
+    return (float(lhs) if arr.ndim == 0 else lhs), bound
 
 
 def log_bound_large(s, mu: float):
@@ -254,9 +252,7 @@ def log_bound_large(s, mu: float):
         raise ValueError("s must be >= 1")
     lhs = arr ** (-mu) * np.log(arr)
     bound = 1.0 / (math.e * mu)
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(lhs), bound
-    return lhs, bound
+    return (float(lhs) if arr.ndim == 0 else lhs), bound
 
 
 def source_dual_norm(u: ModalField, params: ModelParams) -> float:

@@ -236,6 +236,14 @@ class TestIntegralBound:
         assert math.isnan(suite.c0_hat)
         assert math.isnan(suite.delta_hat)
 
+    def test_nan_in_any_row_makes_delta_hat_nan(self):
+        dom = DomainSpec(3, np.pi, 4)
+        ts = np.linspace(0, 1, 11)
+        reports = synthetic_reports(ts, 0.1 * np.exp(-ts), I=1.0, grad_sq=0.5)
+        assert check_integral_bound(reports, dom, PARAMS).delta_hat == 1.0
+        reports[5] = replace(reports[5], I=math.nan)
+        assert math.isnan(check_integral_bound(reports, dom, PARAMS).delta_hat)
+
     def test_stable_run_estimates(self):
         dom = DomainSpec(3, np.pi, 8, 2)
         u0 = ModalField.eigenmode(dom, (1, 1, 1), 0.05)
@@ -372,6 +380,25 @@ class TestCheckTable:
         for status, expected in ((IN, 0.25), ("OUT_E", None)):
             verdict = StableSetVerdict(status, I0=1.0, E0=0.1, threshold=0.25)
             assert threshold(replace(run, verdict=verdict)) == expected
+
+    @pytest.mark.parametrize("column,row", [
+        ("identity_residual", "energy_identity"),
+        ("I", "invariance_I_positive"),
+        ("E", "invariance_E_below_threshold"),
+        ("kinetic", "uniform_bound"),
+    ])
+    def test_nan_in_a_middle_row_fails_its_row(self, column, row):
+        ts = np.linspace(0, 1, 11)
+        reports = synthetic_reports(ts, 0.1 * np.exp(-ts), I=1.0)
+        verdict = StableSetVerdict(IN, I0=1.0, E0=0.1, threshold=1.0)
+
+        def status():
+            checks, _ = run_checks(reports, DomainSpec(3, np.pi, 4), PARAMS, verdict)
+            return {c["name"]: c["status"] for c in checks}[row]
+
+        assert status() == "PASS"
+        reports[5] = replace(reports[5], **{column: math.nan})
+        assert status() == "FAIL"
 
     def test_library_fit_is_the_table_fit(self):
         # the tail crosses the energy floor near t = 11, inside the window

@@ -222,6 +222,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="initial.mode"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("eigenmode", "path", "u.npz"), ("random", "mode", [2, 2, 2]),
+        ("random", "path", "u.npz"), ("file", "mode", [1, 1, 1]),
+    ])
+    def test_initial_key_its_type_does_not_read_is_rejected(self, kind, key, value):
+        initial = {"type": kind, "amplitude": 0.05, key: value}
+        if kind == "file":
+            initial.setdefault("path", "u.npz")
+        with pytest.raises(ConfigError, match=f"^'initial.{key}' is not read by type={kind}$"):
+            parse_config(json.dumps(dict(MINIMAL, initial=initial)))
+
+    @pytest.mark.parametrize("kind", ["eigenmode", "random", "file"])
+    def test_initial_keys_of_every_type(self, kind):
+        # seed for every type (depend draws from it), and null means unset
+        initial = {"type": kind, "amplitude": 0.05, "seed": 3, "mode": None, "path": None}
+        initial.update({"eigenmode": {"mode": [2, 1, 1]}, "random": {},
+                        "file": {"path": "u.npz"}}[kind])
+        spec = parse_config(json.dumps(dict(MINIMAL, initial=initial))).initial
+        assert (spec.type, spec.amplitude, spec.seed) == (kind, 0.05, 3)
+        assert spec.mode == ((2, 1, 1) if kind == "eigenmode" else (1, 1, 1))
+        assert spec.path == ("u.npz" if kind == "file" else None)
+
+    def test_unread_initial_key_exits_before_work(self, tmp_path, capsys):
+        cfg = fast_run_config(tmp_path, initial={"type": "random", "mode": [2, 2, 2],
+                                                 "path": "nope.npz"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: 'initial.mode' is not read by type=random\n")
+        assert not out.exists()
+
     def test_type_errors_carry_paths(self):
         doc = dict(MINIMAL, solver={"dt": "fast"})
         with pytest.raises(ConfigError, match="solver.dt"):
@@ -616,6 +647,21 @@ class TestOtherCommands:
         names = {c["name"]: c for c in report["checks"]}
         assert names["energy_identity"]["status"] == "FAIL"
 
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_verify_fails_a_nan_ledger_in_any_row(self, tmp_path, capsys, row):
+        cfg = fast_run_config(tmp_path, solver={"t_end": 0.1})
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+        csv_path = tmp_path / "trajectory.csv"
+        lines = csv_path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[CSV_COLUMNS.index("identity_residual")] = "nan"
+        lines[row] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path)])
+        assert code == EXIT_CHECKS
+        assert "FAIL energy_identity measured=nan" in capsys.readouterr().out
+
     def test_verify_fails_infinite_initial_energy(self, tmp_path, capsys):
         # every check relative to an infinite E(0) would read 0 and pass
         cfg = fast_run_config(tmp_path)
@@ -788,6 +834,7 @@ def _extreme(low, high):
 @st.composite
 def config_documents(draw, data_files):
     dim = draw(_mostly(st.sampled_from([1, 2, 3]), st.integers(0, 4)))
+    kind = draw(_mostly(st.sampled_from(["eigenmode", "random"]), st.just("file")))
     m = draw(_mostly(st.integers(1, 4), st.integers(-1, 0)))
     dt = draw(_extreme(1e-4, 0.1))
     seed = _mostly(st.integers(0, 2 ** 70), st.integers())
@@ -804,7 +851,7 @@ def config_documents(draw, data_files):
                    "scheme": draw(st.sampled_from(["IMEX2", "IMEX1"])),
                    "blowup_threshold": draw(_extreme(2.0, 1e10)),
                    "report_every": draw(_mostly(st.integers(1, 60), st.integers(-1, 0)))},
-        "initial": {"type": draw(_mostly(st.sampled_from(["eigenmode", "random"]), st.just("file"))),
+        "initial": {"type": kind,
                     "amplitude": draw(_extreme(-0.1, 0.1)),
                     "mode": draw(_mostly(st.lists(st.integers(1, max(m, 1)), min_size=dim,
                                                   max_size=dim),
@@ -819,6 +866,10 @@ def config_documents(draw, data_files):
                                          st.lists(st.integers(-1, 4), max_size=3))),
                   "epsilons": draw(st.lists(_extreme(0.0, 1e-2), max_size=2))},
     }
+    # mode and path go to the one type that reads each, but on the rare branch
+    for key, reader in (("mode", "eigenmode"), ("path", "file")):
+        if kind != reader and draw(_mostly(st.just(True), st.just(False))):
+            del doc["initial"][key]
     for path in draw(st.lists(st.sampled_from(_OPTIONAL), max_size=3)):
         section, key = path.split(".")
         doc[section].pop(key, None)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,7 +121,8 @@ class TestDomainSpec:
         dom = DomainSpec(dim, np.pi, m)
         n = dom.grid_per_dim
         arrays = (*dom.scratch, *dom._transform_scratch)
-        assert [a.shape for a in arrays] == [dom.grid_shape] * 3 + [(m * m * n,), (m * n * n,)]
+        assert [a.shape for a in arrays] == ([dom.grid_shape] * 3
+                                             + [(m ** (dim - 1) * n,), (n ** (dim - 1) * m,)])
         assert all(a.flags.c_contiguous and a.ctypes.data % 64 == 0 for a in arrays)
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
@@ -241,6 +243,52 @@ class TestTransforms:
         assert synthesize(dom, coeffs).tobytes() == batched_synthesis(dom, coeffs).tobytes()
         values = draw(dom.grid_shape)
         assert analyze(dom, values).tobytes() == batched_analysis(dom, values).tobytes()
+
+    @settings(deadline=None)
+    @given(dim=st.integers(1, 2), m=st.integers(1, 12), oversample=st.integers(2, 3),
+           exponents=st.lists(st.floats(-150, 150), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_1d_2d_transforms_give_the_plain_products_bits(self, dim, m, oversample,
+                                                          exponents, seed):
+        # the shared product sequence against one plain product per axis
+        dom = DomainSpec(dim, 2.3, m, oversample)
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(exponents)
+
+        def draw(shape):
+            return rng.standard_normal(shape) * 10.0 ** rng.uniform(lo, hi, shape)
+
+        s, a = dom.synthesis_matrix, dom.analysis_matrix
+        coeffs, values = draw(dom.modal_shape), draw(dom.grid_shape)
+        if dim == 1:
+            synthesized, analyzed = s @ coeffs, a @ values
+        else:
+            synthesized, analyzed = s @ (coeffs @ s.T), a @ (values @ a.T)
+        out = np.empty(dom.grid_shape)
+        assert synthesize(dom, coeffs, out=out) is out
+        assert out.tobytes() == synthesized.tobytes()
+        assert synthesize(dom, coeffs).tobytes() == synthesized.tobytes()
+        assert analyze(dom, values).tobytes() == analyzed.tobytes()
+
+    def test_2d_transforms_allocate_no_intermediate(self):
+        # an m x N intermediate is 32 kB here; the modal output of analyze is
+        # 32 kB too, and the only allocation that analyze may make
+        dom = DomainSpec(2, np.pi, 64)
+        coeffs = random_band_limited(dom, np.random.default_rng(3)).coeffs
+        out = np.empty(dom.grid_shape)
+        synthesize(dom, coeffs, out=out)
+        analyze(dom, out)
+        tracemalloc.start()
+        try:
+            synthesize(dom, coeffs, out=out)
+            synthesize_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            modal = analyze(dom, out)
+            analyze_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert synthesize_peak < 4096
+        assert analyze_peak < modal.nbytes + 4096
 
     def test_shape_mismatch(self):
         dom = DomainSpec(2, np.pi, 4)
