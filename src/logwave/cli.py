@@ -5,7 +5,8 @@ into one dataclass, and the defaults below are its fields' defaults: a key
 left out or null takes the default, and one without a default is required.
 
     domain:  dim (required), length (required), modes_per_dim=8, oversample=2
-    model:   gamma (required), unsafe_gamma=false, source_enabled=true
+    model:   gamma (required; 2 < gamma < 6 at dim 3, any gamma > 2 at dim 1
+             and 2), source_enabled=true
     solver:  dt=1e-3, t_end=20.0 (an integer multiple of dt), scheme="IMEX2",
              blowup_threshold=1e8, report_every=10
     initial: type="eigenmode" | "random" | "file", seed=0, and only its type's
@@ -163,8 +164,7 @@ def _epsilons(value, path: str) -> tuple[float, ...]:
 _SCHEMA = {
     "domain": (DomainSpec, {"dim": _integer, "length": _number,
                             "modes_per_dim": _integer, "oversample": _integer}),
-    "model": (ModelParams, {"gamma": _number, "unsafe_gamma": _boolean,
-                            "source_enabled": _boolean}),
+    "model": (ModelParams, {"gamma": _number, "source_enabled": _boolean}),
     "solver": (SolverConfig, {"dt": _number, "t_end": _number, "scheme": _string,
                               "blowup_threshold": _number, "report_every": _integer}),
     "initial": (InitialSpec, {"type": _string, "amplitude": _number, "mode": _unchecked,

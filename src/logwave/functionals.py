@@ -35,53 +35,42 @@ from .domain import DomainSpec, ModalField, grad_norm_sq, l2_inner, l2_norm_sq, 
 ZERO_CLIP = 1e-300
 
 
-def gamma_window(dim: int) -> tuple[float, float] | None:
-    """Admissible exponent window [2(n-1)/(n-2), 2n/(n-2)) or None if n < 3."""
-    if dim < 3:
-        return None
-    return 2.0 * (dim - 1) / (dim - 2), 2.0 * dim / (dim - 2)
+def gamma_window(dim: int) -> tuple[float, float]:
+    """The open exponent window (2, 2n/(n-2)), with no upper end for n <= 2.
+
+    This is the paper's fully subcritical range: the lower range
+    2 < gamma < 2(n-1)/(n-2) of earlier work joined to the upper range
+    [2(n-1)/(n-2), 2n/(n-2)) that the paper adds, (2, 6) in 3-D.  In 1-D
+    and 2-D, H^1_0 embeds in every L^p with p < inf, so every gamma > 2 is
+    subcritical.
+    """
+    return 2.0, (2.0 * dim / (dim - 2) if dim > 2 else math.inf)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Exponent and dimension of the logarithmic source.
 
-    With ``unsafe_gamma`` unset the exponent must lie in the subcritical
-    window for the given dimension (which requires dim >= 3); the flag
-    relaxes the window to gamma > 2 for low-dimensional debug runs.
-    ``source_enabled=False`` switches the source off entirely, turning the
-    model into the linear strongly damped wave equation (the log terms of
-    the energy vanish with it).
+    The exponent must lie in the open window ``gamma_window(dim)``, which
+    also rules out NaN and infinities.  ``source_enabled=False`` switches
+    the source off entirely, turning the model into the linear strongly
+    damped wave equation (the log terms of the energy vanish with it).
     """
 
     gamma: float
     dim: int
-    unsafe_gamma: bool = False
     source_enabled: bool = True
 
     def __post_init__(self):
-        if not (self.gamma > 2 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be finite and > 2, got {self.gamma}")
-        if not self.unsafe_gamma:
-            window = gamma_window(self.dim)
-            if window is None:
-                raise ValueError(
-                    f"dim={self.dim} < 3 requires unsafe_gamma=True"
-                )
-            lo, hi = window
-            if not (lo <= self.gamma < hi):
-                raise ValueError(
-                    f"gamma={self.gamma} outside [{lo:g}, {hi:g}) for "
-                    f"dim={self.dim} (set unsafe_gamma to override)"
-                )
+        lo, hi = gamma_window(self.dim)
+        if not lo < self.gamma < hi:
+            raise ValueError(f"gamma={self.gamma} outside ({lo:g}, {hi:g}) for dim={self.dim}")
 
     @property
     def rho(self) -> float | None:
-        """Midpoint of the admissible gap above gamma (diagnostic only)."""
-        window = gamma_window(self.dim)
-        if window is None or self.gamma >= window[1]:
-            return None
-        return 0.5 * (window[1] - self.gamma)
+        """Midpoint of the gap above gamma, None for n <= 2 (diagnostic only)."""
+        hi = gamma_window(self.dim)[1]
+        return 0.5 * (hi - self.gamma) if math.isfinite(hi) else None
 
     @property
     def mu(self) -> float | None:

@@ -56,6 +56,16 @@ def fast_run_config(tmp_path, **extra):
     return write_config(tmp_path / "config.json", doc)
 
 
+def lower_range_config(tmp_path, gamma):
+    """(0, pi)^3 at m=6 with first-eigenmode data of amplitude 0.05, to t_end 1."""
+    return write_config(tmp_path / "config.json", {
+        "domain": {"dim": 3, "length": math.pi, "modes_per_dim": 6},
+        "model": {"gamma": gamma},
+        "solver": {"t_end": 1.0},
+        "initial": {"amplitude": 0.05},
+    })
+
+
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(json.dumps(MINIMAL))
@@ -70,7 +80,6 @@ class TestParseConfig:
         assert cfg.well.trial_count == 32
         assert cfg.well.safety == 0.5
         assert cfg.solver.blowup_threshold == 1e8
-        assert cfg.model.unsafe_gamma is False
         assert cfg.model.source_enabled is True
         assert cfg.initial.seed == 0
         assert cfg.initial.path is None
@@ -82,7 +91,7 @@ class TestParseConfig:
 
     def test_null_takes_the_default(self):
         optional = {"domain": ["modes_per_dim", "oversample"],
-                    "model": ["unsafe_gamma", "source_enabled"],
+                    "model": ["source_enabled"],
                     "solver": ["dt", "t_end", "scheme", "blowup_threshold", "report_every"],
                     "initial": ["type", "mode", "seed", "path"],
                     "well": ["trial_count", "safety", "seed"],
@@ -184,13 +193,13 @@ class TestParseConfig:
             assert (type(value), value) == (type(defaults[key]), defaults[key]), key
 
     def test_gamma_window_enforced(self):
-        doc = dict(MINIMAL, model={"gamma": 3.5})
-        with pytest.raises(ConfigError, match=r"\[4, 6\)"):
-            parse_config(json.dumps(doc))
-        doc = dict(MINIMAL, model={"gamma": 5.9})
-        assert parse_config(json.dumps(doc)).model.gamma == 5.9
-        doc = dict(MINIMAL, model={"gamma": 3.5, "unsafe_gamma": True})
-        assert parse_config(json.dumps(doc)).model.unsafe_gamma
+        for gamma in (2.0, 6.0):
+            doc = dict(MINIMAL, model={"gamma": gamma})
+            with pytest.raises(ConfigError, match=r"model: gamma=.* outside \(2, 6\) for dim=3"):
+                parse_config(json.dumps(doc))
+        for gamma in (3.5, 5.9):
+            doc = dict(MINIMAL, model={"gamma": gamma})
+            assert parse_config(json.dumps(doc)).model.gamma == gamma
 
     def test_unknown_keys_rejected(self):
         doc = dict(MINIMAL)
@@ -258,16 +267,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="solver.dt"):
             parse_config(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["unsafe_gamma", "source_enabled"])
+    @pytest.mark.parametrize("key", ["source_enabled"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, []])
     def test_booleans_must_be_json_booleans(self, key, value):
         doc = dict(MINIMAL, model={"gamma": 4.0, key: value})
         with pytest.raises(ConfigError, match=f"model.{key}"):
             parse_config(json.dumps(doc))
 
-    def test_string_false_does_not_admit_unsafe_gamma(self, tmp_path):
-        cfg = fast_run_config(tmp_path, model={"gamma": 7.0, "unsafe_gamma": "false"})
-        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+    def test_string_false_does_not_admit_unsafe_gamma(self, tmp_path, capsys):
+        # the key is gone, so a supercritical gamma cannot be forced
+        for value in ("false", True):
+            cfg = fast_run_config(tmp_path, model={"gamma": 7.0, "unsafe_gamma": value})
+            assert main(["run", "--config", cfg, "--output-dir", str(tmp_path),
+                         "--quiet"]) == EXIT_CONFIG
+            assert "unknown key 'model.unsafe_gamma'" in capsys.readouterr().err
 
     # a subnormal dt gives an infinite step count, and t_end / dt underflowing
     # to 0 gives no step
@@ -484,6 +497,26 @@ class TestCmdRun:
         reports = read_csv(tmp_path / "trajectory.csv")
         assert reports[0].E == pytest.approx(summary["E0"], rel=1e-16)
 
+    # the lower range 2 < gamma < 4 of earlier work, which the window joins
+    # to the paper's upper range [4, 6)
+    @pytest.mark.parametrize("gamma", [3.0, 2.001])
+    def test_lower_subcritical_range(self, tmp_path, gamma):
+        cfg = lower_range_config(tmp_path, gamma)
+        code = main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["status"], summary["stable_set"]["status"]) == ("COMPLETED", "IN")
+        mandatory = [c["status"] for c in summary["checks"] if c["mandatory"]]
+        assert mandatory == ["PASS"] * 7
+
+    def test_lower_subcritical_well_depth(self, tmp_path):
+        # the code's own value at m=6; it reads 63.72 at m=8 as well
+        cfg = lower_range_config(tmp_path, 3.0)
+        code = main(["welldepth", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["d_hat"] == pytest.approx(63.72675573486259, rel=1e-12)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = fast_run_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -495,7 +528,7 @@ class TestCmdRun:
     def test_blowup_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "blow.json", {
             "domain": {"dim": 1, "length": math.pi, "modes_per_dim": 16},
-            "model": {"gamma": 4.0, "unsafe_gamma": True},
+            "model": {"gamma": 4.0},
             "solver": {"dt": 1e-3, "t_end": 5.0},
             "initial": {"amplitude": 10.0},
             "well": {"trial_count": 1},
@@ -531,9 +564,10 @@ class TestCmdRun:
             assert err.startswith("data error: 'initial.amplitude'")
             assert err.count("\n") == 1
 
-    def test_config_error_exit_code(self, tmp_path):
-        bad = write_config(tmp_path / "bad.json", dict(MINIMAL, model={"gamma": 3.0}))
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        bad = write_config(tmp_path / "bad.json", dict(MINIMAL, model={"gamma": 6.0}))
         assert main(["run", "--config", bad, "--quiet"]) == EXIT_CONFIG
+        assert "outside (2, 6) for dim=3" in capsys.readouterr().err
         assert main(["run", "--config", str(tmp_path / "missing.json"), "--quiet"]) == EXIT_CONFIG
 
 
@@ -746,7 +780,7 @@ class TestStdout:
     def test_blowup_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "blow.json", {
             "domain": {"dim": 1, "length": math.pi, "modes_per_dim": 16},
-            "model": {"gamma": 4.0, "unsafe_gamma": True},
+            "model": {"gamma": 4.0},
             "solver": {"dt": 1e-3, "t_end": 5.0},
             "initial": {"amplitude": 10.0},
             "well": {"trial_count": 1},
@@ -811,12 +845,13 @@ def test_cli_import_leaves_scipy_out():
 # defaults are left out, and at most one key gets a value of any type or an
 # unknown name.  Only sizes are bounded, to keep the test well under 10 s:
 # modes_per_dim and m_list entries <= 4, oversample <= 3, at most 50 steps
-# (so dt and t_end never get a wrong number), trial_count <= 4 and at most
-# two epsilons.  Lengths, amplitudes, exponents, time steps, thresholds and
-# seeds range over all floats (nan and infinities included) and all integers.
+# (so dt and t_end never get a wrong number), trial_count <= 4 and one or two
+# epsilons (none on the rare branch).  Lengths, amplitudes, exponents, time
+# steps, thresholds and seeds range over all floats (nan and infinities
+# included) and all integers; the typical exponent lies in the 3-D window.
 # Output paths are relative, so nothing is written outside the test directory.
 _TEXT = st.booleans() | st.text(max_size=3) | st.lists(st.integers(-1, 4), max_size=3)
-_OPTIONAL = ("domain.oversample model.unsafe_gamma model.source_enabled solver.scheme "
+_OPTIONAL = ("domain.oversample model.source_enabled solver.scheme "
              "solver.blowup_threshold solver.report_every initial.type initial.mode "
              "initial.seed initial.path well.safety well.seed outputs.csv_path "
              "outputs.json_path study.epsilons").split()
@@ -842,8 +877,8 @@ def config_documents(draw, data_files):
     doc = {
         "domain": {"dim": dim, "length": draw(_extreme(0.5, 5.0)), "modes_per_dim": m,
                    "oversample": draw(_mostly(st.integers(2, 3), st.integers(0, 1)))},
-        "model": {"gamma": draw(_extreme(4.0, 5.9)),
-                  "unsafe_gamma": draw(_mostly(st.just(dim < 3), st.booleans())),
+        "model": {"gamma": draw(_mostly(st.floats(2.0, 5.9, exclude_min=True),
+                                        st.floats() | st.integers())),
                   "source_enabled": draw(_mostly(st.just(True), st.just(False)))},
         # a t_end 1 % off a multiple of dt is rejected
         "solver": {"dt": dt, "t_end": draw(st.integers(1, 50)) * dt
@@ -864,7 +899,8 @@ def config_documents(draw, data_files):
         "study": {"m_list": draw(_mostly(st.lists(st.integers(1, 4), min_size=2, max_size=3,
                                                   unique=True).map(sorted),
                                          st.lists(st.integers(-1, 4), max_size=3))),
-                  "epsilons": draw(st.lists(_extreme(0.0, 1e-2), max_size=2))},
+                  "epsilons": draw(_mostly(st.lists(_extreme(0.0, 1e-2), min_size=1,
+                                                    max_size=2), st.just([])))},
     }
     # mode and path go to the one type that reads each, but on the rare branch
     for key, reader in (("mode", "eigenmode"), ("path", "file")):

@@ -25,35 +25,61 @@ from test_domain import sine_sum_synthesis
 
 
 def params_1d(gamma=4.0):
-    return ModelParams(gamma, 1, unsafe_gamma=True)
+    return ModelParams(gamma, 1)
+
+
+# the 3-D window (2, 6), with values within 1e-9 of either end
+GAMMA_3D = st.floats(2.0, 6.0, exclude_min=True, exclude_max=True) | st.sampled_from(
+    [2.0 + 1e-12, 2.0 + 1e-9, 6.0 - 1e-9, math.nextafter(6.0, 0.0)])
 
 
 class TestModelParams:
     def test_gamma_window_3d(self):
-        ModelParams(4.0, 3)
-        ModelParams(5.9, 3)
-        with pytest.raises(ValueError):
-            ModelParams(3.5, 3)
-        with pytest.raises(ValueError):
+        # the lower range (2, 4) of earlier work and the paper's upper range [4, 6)
+        for gamma in (2.001, 3.0, 3.5, 4.0, 5.9):
+            ModelParams(gamma, 3)
+        with pytest.raises(ValueError, match=r"gamma=6.0 outside \(2, 6\) for dim=3"):
             ModelParams(6.0, 3)
-        ModelParams(3.5, 3, unsafe_gamma=True)
 
     def test_gamma_must_exceed_two(self):
-        with pytest.raises(ValueError):
-            ModelParams(2.0, 1, unsafe_gamma=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"gamma=2.0 outside \(2, inf\) for dim=1"):
+            ModelParams(2.0, 1)
+        with pytest.raises(ValueError, match=r"gamma=1.5 outside \(2, 6\) for dim=3"):
             ModelParams(1.5, 3)
 
-    def test_low_dim_needs_unsafe(self):
-        with pytest.raises(ValueError):
-            ModelParams(4.0, 1)
-        ModelParams(4.0, 1, unsafe_gamma=True)
+    # H^1_0 embeds in every L^p, p < inf, so the window has no upper end
+    @given(gamma=st.floats(2.0, exclude_min=True, allow_infinity=False),
+           dim=st.sampled_from([1, 2]))
+    def test_low_dim_admits_any_gamma_above_two(self, gamma, dim):
+        assert functionals.gamma_window(dim) == (2.0, math.inf)
+        assert ModelParams(gamma, dim).gamma == gamma
 
     def test_rho_mu(self):
         p = ModelParams(4.0, 3)
         assert p.rho == pytest.approx(0.5 * (6.0 - 4.0))
         assert p.mu == pytest.approx(p.rho * 3.0 / 4.0)
-        assert params_1d().rho is None
+        p = ModelParams(3.0, 3)
+        assert (p.rho, p.mu) == (1.5, 1.0)
+        for dim in (1, 2):
+            assert ModelParams(4.0, dim).rho is None
+            assert ModelParams(4.0, dim).mu is None
+
+    @given(gamma=GAMMA_3D)
+    def test_window_admits_the_fully_subcritical_range(self, gamma):
+        p = ModelParams(gamma, 3)
+        assert 0 < p.rho < 2 and 0 < p.mu < p.rho
+
+    # st.floats draws the infinity beyond a one-sided bound
+    @given(gamma=st.floats(max_value=2.0) | st.floats(min_value=6.0) | st.just(math.nan))
+    def test_3d_outside_the_window_raises_naming_it(self, gamma):
+        with pytest.raises(ValueError, match=r"outside \(2, 6\) for dim=3"):
+            ModelParams(gamma, 3)
+
+    @given(gamma=st.floats(max_value=2.0) | st.sampled_from([math.nan, math.inf]),
+           dim=st.sampled_from([1, 2]))
+    def test_low_dim_outside_the_window_raises_naming_it(self, gamma, dim):
+        with pytest.raises(ValueError, match=rf"outside \(2, inf\) for dim={dim}"):
+            ModelParams(gamma, dim)
 
 
 class TestSourceEval:
@@ -115,7 +141,7 @@ class TestEnergy:
         dom = DomainSpec(1, np.pi, 4)
         u = ModalField.eigenmode(dom, (1,), 0.5)
         rep = energy(u, ModalField.zeros(dom),
-                     ModelParams(4.0, 1, unsafe_gamma=True, source_enabled=False))
+                     ModelParams(4.0, 1, source_enabled=False))
         assert rep.lgamma == 0.0 and rep.logterm == 0.0
         assert rep.E == pytest.approx(0.5 * grad_norm_sq(u), rel=1e-14)
 
@@ -369,7 +395,7 @@ class TestPointwiseKernel:
 
         # the dual norm's pointwise work, on the drawn values as its grid
         dom = DomainSpec(1, np.pi, 4)
-        params = ModelParams(gamma, 1, unsafe_gamma=True)
+        params = ModelParams(gamma, 1)
         q = gamma / (gamma - 1.0)
         with mock.patch.object(functionals, "synthesize", lambda _dom, _c: s):
             total = dom.quad_weight * float(np.sum(dual_terms))

@@ -58,7 +58,7 @@ def scan(dom, a, b, threshold):
 
 
 def params_1d(gamma=4.0, source=True):
-    return ModelParams(gamma, 1, unsafe_gamma=True, source_enabled=source)
+    return ModelParams(gamma, 1, source_enabled=source)
 
 
 def damped_mode_exact(lam: float, t: np.ndarray, a0: float = 1.0, b0: float = 0.0) -> np.ndarray:
@@ -287,7 +287,7 @@ class TestIntegrate:
                                     n_steps, log10_amplitude, seed):
         # amplitudes above about 1 cross the threshold, at the first step or later
         dom = DomainSpec(dim, np.pi, m)
-        params = ModelParams(4.0, dim, unsafe_gamma=True, source_enabled=source)
+        params = ModelParams(4.0, dim, source_enabled=source)
         dt = 1e-2
         cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme=scheme,
                            blowup_threshold=1e3, report_every=report_every)
@@ -462,7 +462,7 @@ class TestWorkspace:
         # what an earlier call left in the scratch never reaches a result:
         # a scratch full of NaN gives the bits of a fresh, equal domain
         dom = DomainSpec(dim, np.pi, 4)
-        params = ModelParams(5.5, dim, unsafe_gamma=True, source_enabled=source)
+        params = ModelParams(5.5, dim, source_enabled=source)
         cfg = SolverConfig(dt=1e-2, scheme=scheme)
         a, b = self.state(dom, seed=dim, amplitude=0.5)
 

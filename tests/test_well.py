@@ -32,6 +32,8 @@ from logwave.well import (
     stable_set_check,
 )
 
+from test_functionals import GAMMA_3D
+
 # fibering supremum of the first eigenfunction on (0,pi)^3 at gamma=4,
 # computed from the semi-analytic moments A = 3(pi/2)^3, G = (3pi/8)^3,
 # B = 3 (int sin^4 ln sin) (3pi/8)^2 with two independent 1-D optimizers
@@ -44,7 +46,7 @@ PARAMS = ModelParams(4.0, 3)
 
 
 def params_1d(gamma=4.0):
-    return ModelParams(gamma, 1, unsafe_gamma=True)
+    return ModelParams(gamma, 1)
 
 
 def scan_and_bisect(m: FiberMoments, gamma: float) -> tuple[float, float]:
@@ -346,6 +348,21 @@ class TestEstimateDepth:
         lam_b = golden_section(m, 4.0, 0.9 * lam_a, 1.1 * lam_a)
         assert j_a == pytest.approx(DEPTH_GOLDEN, rel=1e-10)
         assert fiber_J(m, lam_b, 4.0) == pytest.approx(DEPTH_GOLDEN, rel=1e-10)
+
+    @settings(deadline=None, max_examples=40)
+    @given(gamma=GAMMA_3D, seed=st.integers(0, 2 ** 32 - 1))
+    def test_fully_subcritical_range(self, gamma, seed):
+        # the lower range (2, 4) included: every trial's supremum is positive
+        # and its Nehari residual sits at roundoff
+        params = ModelParams(gamma, 3)
+        trials, _ = default_trial_family(DomainSpec(3, np.pi, 4), count=3, seed=seed)
+        trials = list(trials)
+        est = estimate_depth(trials, params)
+        assert est.d_hat > 0
+        for trial, (lam, j_max) in zip(trials, est.trials, strict=True):
+            m = fiber_moments(trial, params)
+            assert j_max > 0
+            assert abs(fiber_I(m, lam, gamma)) <= 1e-10 * lam ** 2 * m.A
 
     def test_monotone_under_family_growth(self):
         dom = DomainSpec(3, np.pi, 4)
