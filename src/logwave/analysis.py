@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domain import DomainSpec, ModalField, grad_norm_sq, l2_norm_sq, poincare_constant, random_band_limited
-from .functionals import EnergyReport, ModelParams, uniform_bound_constant
+from .functionals import EnergyReport, ModelParams, square, uniform_bound_constant
 from .solver import BLOWUP, COMPLETED, SolverConfig, integrate
 from .well import IN, StableSetVerdict
 
@@ -192,7 +192,7 @@ def check_integral_bound(
 
     g = params.gamma
     if math.isfinite(delta_hat) and delta_hat > 0 and math.isfinite(cw_hat):
-        m_hat = 0.5 + (g - 2.0) / (2.0 * g * delta_hat) + 1.0 / g + cw_hat / (g ** 2 * delta_hat)
+        m_hat = 0.5 + (g - 2.0) / (2.0 * g * delta_hat) + 1.0 / g + cw_hat / (square(g) * delta_hat)
     else:
         m_hat = float("nan")
     return EstimateSuite(

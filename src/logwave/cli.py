@@ -7,7 +7,7 @@ left out or null takes the default, and one without a default is required.
     domain:  dim (required), length (required), modes_per_dim=8, oversample=2
     model:   gamma (required; 2 < gamma < 6 at dim 3, any gamma > 2 at dim 1
              and 2), source_enabled=true
-    solver:  dt=1e-3, t_end=20.0 (an integer multiple of dt), scheme="IMEX2",
+    solver:  dt=1e-3, t_end=20.0 (an integer multiple of dt),
              blowup_threshold=1e8, report_every=10
     initial: type="eigenmode" | "random" | "file", seed=0, and only its type's
              keys: eigenmode: amplitude (required), mode=[1,...]; random:
@@ -16,7 +16,7 @@ left out or null takes the default, and one without a default is required.
     outputs: csv_path="trajectory.csv", json_path="summary.json"
     study:   m_list=[4,8,16], epsilons=[1e-3,1e-4]
 
-Seeds and trial_count are nonnegative integers; scheme, type, path,
+Seeds and trial_count are nonnegative integers; type, path,
 csv_path and json_path take only strings.  path names an .npz archive
 holding u0 and, optionally, u1: integer or float coefficient arrays of the
 modal shape.  csv_path and json_path are two distinct bare file names, both
@@ -165,7 +165,7 @@ _SCHEMA = {
     "domain": (DomainSpec, {"dim": _integer, "length": _number,
                             "modes_per_dim": _integer, "oversample": _integer}),
     "model": (ModelParams, {"gamma": _number, "source_enabled": _boolean}),
-    "solver": (SolverConfig, {"dt": _number, "t_end": _number, "scheme": _string,
+    "solver": (SolverConfig, {"dt": _number, "t_end": _number,
                               "blowup_threshold": _number, "report_every": _integer}),
     "initial": (InitialSpec, {"type": _string, "amplitude": _number, "mode": _unchecked,
                               "seed": _count, "path": _string}),

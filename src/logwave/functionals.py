@@ -180,6 +180,14 @@ def field_log_moments(u: ModalField, gamma: float) -> tuple[float, float]:
     return log_moments(values, u.domain.quad_weight, gamma, scratch[1:])
 
 
+def square(x: float) -> float:
+    """x ** 2, saturating to inf where float ** raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _require_finite(f: ModalField, name: str):
     if not f.is_finite:
         raise ValueError(f"{name} contains non-finite coefficients")
@@ -199,7 +207,7 @@ def energy(u: ModalField, ut: ModalField, params: ModelParams) -> EnergyReport:
         lgamma, logterm = field_log_moments(u, g)
     else:
         lgamma = logterm = 0.0
-    J = 0.5 * grad_sq - logterm / g + lgamma / g ** 2
+    J = 0.5 * grad_sq - logterm / g + lgamma / square(g)
     I = grad_sq - logterm
     return EnergyReport(
         t=0.0, E=kinetic + J, J=J, I=I, kinetic=kinetic, grad_sq=grad_sq,
@@ -210,7 +218,7 @@ def energy(u: ModalField, ut: ModalField, params: ModelParams) -> EnergyReport:
 
 def uniform_bound_constant(gamma: float) -> float:
     """min{1/2, (gamma-2)/(2 gamma), 1/gamma^2}, the coercivity constant."""
-    return min(0.5, (gamma - 2.0) / (2.0 * gamma), 1.0 / gamma ** 2)
+    return min(0.5, (gamma - 2.0) / (2.0 * gamma), 1.0 / square(gamma))
 
 
 def log_bound_small(s, gamma: float):

@@ -9,9 +9,8 @@ where F_k is the modal projection of the logarithmic source evaluated
 pseudospectrally.  The stiff linear part (stiffness grows like the largest
 eigenvalue) is advanced by the trapezoidal rule, an unconditionally stable
 per-mode 2x2 solve that is diagonal in the eigenbasis.  The source is
-explicit: IMEX2 extrapolates the two most recent evaluations to the step
-midpoint (3/2 F^n - 1/2 F^(n-1), second order; the first step, having no
-history, is an IMEX1 step), IMEX1 uses the current value.
+explicit, extrapolated to the step midpoint as 3/2 F^n - 1/2 F^(n-1)
+(Crank-Nicolson/Adams-Bashforth, second order); the first step takes F^0.
 
 The integrator maintains a discrete energy ledger: the accumulated
 dissipation integral of ||grad u_t||^2 (trapezoidal, matching the scheme's
@@ -46,8 +45,6 @@ RUNNING = "RUNNING"
 COMPLETED = "COMPLETED"
 BLOWUP = "BLOWUP"
 
-SCHEMES = ("IMEX2", "IMEX1")
-
 
 class InitialEnergyError(ValueError):
     """Raised by ``integrate`` when E(0) is not finite."""
@@ -57,7 +54,6 @@ class InitialEnergyError(ValueError):
 class SolverConfig:
     dt: float = 1e-3
     t_end: float = 20.0
-    scheme: str = "IMEX2"
     blowup_threshold: float = 1e8
     report_every: int = 10
 
@@ -72,8 +68,6 @@ class SolverConfig:
         if not (math.isfinite(n_steps) and round(n_steps) >= 1
                 and math.isclose(n_steps, round(n_steps), rel_tol=1e-9)):
             raise ValueError(f"t_end ({self.t_end!r}) must be a whole number of dt ({self.dt!r}) steps")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not self.blowup_threshold > 1:
             raise ValueError(f"blowup_threshold must be > 1, got {self.blowup_threshold}")
         if self.report_every < 1:
@@ -158,10 +152,7 @@ def step(domain: DomainSpec, a: np.ndarray, b: np.ndarray, f_prev: np.ndarray | 
     # the modal projection F = P_band f(u) of the source in the eigenbasis
     u = synthesize(domain, a, out=scratch[0])
     f_now = analyze(domain, source_eval(u, params.gamma, scratch[1:]))
-    if cfg.scheme == "IMEX2" and f_prev is not None:
-        f_star = 1.5 * f_now - 0.5 * f_prev
-    else:
-        f_star = f_now
+    f_star = f_now if f_prev is None else 1.5 * f_now - 0.5 * f_prev
     a_new += af * f_star
     b_new += bf * f_star
     return a_new, b_new, f_now

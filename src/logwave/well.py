@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainSpec, ModalField, grad_norm_sq
-from .functionals import ModelParams, energy, field_log_moments
+from .functionals import ModelParams, energy, field_log_moments, square
 
 
 class DegenerateFieldError(ValueError):
@@ -122,7 +122,7 @@ def fiber_J(m: FiberMoments, lam, gamma: float):
     """J(lambda u) from precomputed moments; lambda may be an array."""
     lam = _positive_lambda(lam)
     lg = lam ** gamma
-    out = lam ** 2 * m.A / 2.0 - lg * (m.B + m.G * np.log(lam)) / gamma + lg * m.G / gamma ** 2
+    out = lam ** 2 * m.A / 2.0 - lg * (m.B + m.G * np.log(lam)) / gamma + lg * m.G / square(gamma)
     return float(out) if out.ndim == 0 else out
 
 

@@ -73,7 +73,6 @@ class TestParseConfig:
         assert cfg.domain.oversample == 2
         assert cfg.solver.dt == 1e-3
         assert cfg.solver.t_end == 20.0
-        assert cfg.solver.scheme == "IMEX2"
         assert cfg.solver.report_every == 10
         assert cfg.initial.type == "eigenmode"
         assert cfg.initial.mode == (1, 1, 1)
@@ -92,7 +91,7 @@ class TestParseConfig:
     def test_null_takes_the_default(self):
         optional = {"domain": ["modes_per_dim", "oversample"],
                     "model": ["source_enabled"],
-                    "solver": ["dt", "t_end", "scheme", "blowup_threshold", "report_every"],
+                    "solver": ["dt", "t_end", "blowup_threshold", "report_every"],
                     "initial": ["type", "mode", "seed", "path"],
                     "well": ["trial_count", "safety", "seed"],
                     "outputs": ["csv_path", "json_path"],
@@ -118,7 +117,7 @@ class TestParseConfig:
         assert str(info.value).startswith(f"'{section}.{key}' must")
 
     @pytest.mark.parametrize("section,key,value", [
-        ("outputs", "csv_path", 3), ("outputs", "json_path", ["a"]), ("solver", "scheme", 3),
+        ("outputs", "csv_path", 3), ("outputs", "json_path", ["a"]),
         ("initial", "type", False), ("initial", "path", 0),
     ])
     def test_string_keys_take_only_strings(self, tmp_path, capsys, section, key, value):
@@ -281,6 +280,17 @@ class TestParseConfig:
             assert main(["run", "--config", cfg, "--output-dir", str(tmp_path),
                          "--quiet"]) == EXIT_CONFIG
             assert "unknown key 'model.unsafe_gamma'" in capsys.readouterr().err
+
+    def test_scheme_is_an_unknown_key(self, tmp_path, capsys):
+        # there is one time-stepping scheme, so no key chooses it
+        for value in ("IMEX2", "IMEX1"):
+            cfg = fast_run_config(tmp_path, solver={"scheme": value})
+            out = tmp_path / "out"
+            assert main(["run", "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err == "config error: unknown key 'solver.scheme'\n"
+            assert captured.out == ""
+            assert not out.exists()
 
     # a subnormal dt gives an infinite step count, and t_end / dt underflowing
     # to 0 gives no step
@@ -738,6 +748,25 @@ class TestOtherCommands:
         assert len(summary["times"]) == n_times
         assert [len(row) for row in summary["D"]] == [n_times] * n_rows
 
+    # gamma ** 2 overflows above about 1.34e154, and 1-D and 2-D admit every gamma > 2
+    @pytest.mark.parametrize("command,dim,gamma", [("converge", 2, 1.4e154),
+                                                   ("depend", 2, 1.4e154),
+                                                   ("verify", 1, 1e200)])
+    def test_gamma_whose_square_overflows_exits_cleanly(self, tmp_path, capsys, command,
+                                                        dim, gamma):
+        sections = {"domain": {"dim": dim}, "study": {"m_list": [2, 4]}}
+        if command == "verify":  # the trajectory to verify, from a run at gamma 4
+            cfg = fast_run_config(tmp_path, **sections)
+            assert main(["run", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+        cfg = fast_run_config(tmp_path, model={"gamma": gamma}, **sections)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "summary.json").read_text())["command"] == command
+
     def test_converge_blowup_names_the_level(self, tmp_path):
         cfg = fast_run_config(tmp_path, initial={"amplitude": 20.0},
                               solver={"blowup_threshold": 50.0}, study={"m_list": [2, 4]})
@@ -851,10 +880,9 @@ def test_cli_import_leaves_scipy_out():
 # included) and all integers; the typical exponent lies in the 3-D window.
 # Output paths are relative, so nothing is written outside the test directory.
 _TEXT = st.booleans() | st.text(max_size=3) | st.lists(st.integers(-1, 4), max_size=3)
-_OPTIONAL = ("domain.oversample model.source_enabled solver.scheme "
-             "solver.blowup_threshold solver.report_every initial.type initial.mode "
-             "initial.seed initial.path well.safety well.seed outputs.csv_path "
-             "outputs.json_path study.epsilons").split()
+_OPTIONAL = ("domain.oversample model.source_enabled solver.blowup_threshold "
+             "solver.report_every initial.type initial.mode initial.seed initial.path "
+             "well.safety well.seed outputs.csv_path outputs.json_path study.epsilons").split()
 
 
 def _mostly(typical, rare):
@@ -883,7 +911,6 @@ def config_documents(draw, data_files):
         # a t_end 1 % off a multiple of dt is rejected
         "solver": {"dt": dt, "t_end": draw(st.integers(1, 50)) * dt
                    * draw(_mostly(st.just(1.0), st.just(1.01))),
-                   "scheme": draw(st.sampled_from(["IMEX2", "IMEX1"])),
                    "blowup_threshold": draw(_extreme(2.0, 1e10)),
                    "report_every": draw(_mostly(st.integers(1, 60), st.integers(-1, 0)))},
         "initial": {"type": kind,

@@ -18,8 +18,10 @@ from logwave.functionals import (
     log_moments,
     source_dual_norm,
     source_eval,
+    square,
     uniform_bound_constant,
 )
+from logwave.well import FiberMoments, fiber_J
 
 from test_domain import sine_sum_synthesis
 
@@ -158,6 +160,17 @@ class TestEnergy:
                 rebuilt = (rep.kinetic + (gamma - 2) / (2 * gamma) * rep.grad_sq
                            + rep.I / gamma + rep.lgamma / gamma ** 2)
                 assert rebuilt == pytest.approx(rep.E, rel=1e-10)
+
+    def test_gamma_whose_square_overflows(self):
+        # 1-D and 2-D admit every gamma > 2, and gamma ** 2 raises
+        # OverflowError above about 1.34e154; the 1/gamma^2 terms then vanish
+        assert square(4.0) == 16.0 and square(1.4e154) == math.inf
+        assert uniform_bound_constant(1.4e154) == 0.0
+        assert fiber_J(FiberMoments(A=1.0, B=0.0, G=1.0), 1.0, 1e200) == 0.5
+        dom = DomainSpec(2, np.pi, 4)
+        u = ModalField.eigenmode(dom, (1, 1), 0.5)
+        rep = energy(u, ModalField.zeros(dom), ModelParams(1.4e154, 2))
+        assert rep.J == 0.5 * rep.grad_sq
 
     def test_lower_bound_when_I_nonnegative(self):
         assert uniform_bound_constant(4.0) == pytest.approx(1.0 / 16.0)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logwave
+from logwave import solver
 from logwave.analysis import CHECKS, CheckInput
 from logwave.domain import (
     DomainSpec,
@@ -34,14 +35,14 @@ from logwave.solver import (
     BLOWUP,
     COMPLETED,
     RUNNING,
-    SCHEMES,
     IntegrationResult,
     SolverConfig,
+    _trapezoid,
     blowup_scan,
     integrate,
     step,
 )
-from logwave.well import default_trial_family, estimate_depth, stable_set_check
+from logwave.well import default_trial_family, estimate_depth, project_to_nehari, stable_set_check
 
 PARAMS = ModelParams(4.0, 3)
 
@@ -116,24 +117,37 @@ class TestStep:
                         SolverConfig(dt=1e-3, t_end=1e-3), PARAMS)
         assert one.reports[-1].damping_integral == 0.0
 
-    def test_first_imex2_step_equals_imex1(self):
+    def test_steps_match_trapezoid_and_extrapolated_source(self):
+        # the first step has no history and adds af F(a0); a later step adds
+        # af (3/2 F - 1/2 F_prev), the source extrapolated to the step midpoint
         dom = DomainSpec(3, np.pi, 4)
-        u = ModalField.eigenmode(dom, (1, 1, 1), 0.3).coeffs
-        ut = ModalField.eigenmode(dom, (2, 1, 1), 0.1).coeffs
-        a2, b2, _ = step(dom, u, ut, None, SolverConfig(dt=1e-3, scheme="IMEX2"), PARAMS)
-        a1, b1, _ = step(dom, u, ut, None, SolverConfig(dt=1e-3, scheme="IMEX1"), PARAMS)
-        assert np.array_equal(a2, a1)
-        assert np.array_equal(b2, b1)
+        cfg = SolverConfig(dt=1e-3)
+        aa, ab, af, ba, bb, bf = _trapezoid(dom, cfg.dt)
 
-    def test_second_steps_differ_between_schemes(self):
+        def source(a):
+            return analyze(dom, source_eval(synthesize(dom, a), PARAMS.gamma))
+
+        a0 = ModalField.eigenmode(dom, (1, 1, 1), 0.3).coeffs
+        b0 = ModalField.eigenmode(dom, (2, 1, 1), 0.1).coeffs
+        a1, b1, f0 = step(dom, a0, b0, None, cfg, PARAMS)
+        assert np.array_equal(f0, source(a0))
+        assert np.array_equal(a1, aa * a0 + ab * b0 + af * f0)
+        assert np.array_equal(b1, ba * a0 + bb * b0 + bf * f0)
+        a2, b2, f1 = step(dom, a1, b1, f0, cfg, PARAMS)
+        assert np.array_equal(f1, source(a1))
+        f_star = 1.5 * f1 - 0.5 * f0
+        assert np.array_equal(a2, aa * a1 + ab * b1 + af * f_star)
+        assert np.array_equal(b2, ba * a1 + bb * b1 + bf * f_star)
+
+    def test_history_changes_the_step(self):
         dom = DomainSpec(3, np.pi, 4)
         u = ModalField.eigenmode(dom, (1, 1, 1), 0.5).coeffs
         ut = np.zeros(dom.modal_shape)
-        cfg2 = SolverConfig(dt=1e-2, scheme="IMEX2")
-        cfg1 = SolverConfig(dt=1e-2, scheme="IMEX1")
-        a2, _, _ = step(dom, *step(dom, u, ut, None, cfg2, PARAMS), cfg2, PARAMS)
-        a1, _, _ = step(dom, *step(dom, u, ut, None, cfg1, PARAMS), cfg1, PARAMS)
-        assert not np.array_equal(a2, a1)
+        cfg = SolverConfig(dt=1e-2)
+        a1, b1, f0 = step(dom, u, ut, None, cfg, PARAMS)
+        with_history, _, _ = step(dom, a1, b1, f0, cfg, PARAMS)
+        without_history, _, _ = step(dom, a1, b1, None, cfg, PARAMS)
+        assert not np.array_equal(with_history, without_history)
 
     @pytest.mark.parametrize("k,expect_complex", [((1, 1, 1), True), ((2, 2, 2), False)])
     def test_linear_matches_closed_form(self, k, expect_complex):
@@ -261,6 +275,31 @@ class TestIntegrate:
         assert res[2e-3] / res[1e-3] > 3.0
         assert res[1e-3] / res[5e-4] > 3.0
 
+    def test_energy_law_catches_a_first_order_step(self, monkeypatch):
+        # criterion 01's measure under a seeded fault: every step forgets the
+        # source history, so the scheme is first order.  The residual at
+        # dt 1e-3 (7.4e-5) stays under the 1e-4 gate; only the halving ratios
+        # (about 2 against 4) catch the fault.
+        dom = DomainSpec(3, np.pi, 4)
+        phi = ModalField.eigenmode(dom, (1, 1, 1))
+        u0 = phi.scaled(0.6 * project_to_nehari(phi, PARAMS)[0])
+        u1 = ModalField.zeros(dom)
+
+        def residual_and_ratios():
+            res = [measure("energy_identity", dom,
+                           integrate(u0, u1, SolverConfig(dt=dt, t_end=1.0), PARAMS))
+                   for dt in (2e-3, 1e-3, 5e-4)]
+            return res[1], res[0] / res[1], res[1] / res[2]
+
+        residual, *second_order = residual_and_ratios()
+        assert residual < 1e-4 and min(second_order) >= 3.5
+        real_step = solver.step
+        monkeypatch.setattr(solver, "step", lambda domain, a, b, f_prev, cfg, params:
+                            real_step(domain, a, b, None, cfg, params))
+        residual, *first_order = residual_and_ratios()
+        assert residual < 1e-4
+        assert max(first_order) < 3.5
+
     def test_damping_integral_nondecreasing(self, short_stable_run):
         _, runs = short_stable_run
         d = np.array([r.damping_integral for r in runs[1e-3].reports])
@@ -279,18 +318,17 @@ class TestIntegrate:
         assert measure("uniform_bound", dom, runs[1e-3], verdict) < 1.0
 
     @settings(deadline=None, max_examples=60)
-    @given(dim=st.integers(1, 3), m=st.integers(1, 4), scheme=st.sampled_from(SCHEMES),
-           source=st.booleans(), report_every=st.sampled_from([1, 3, 7]),
+    @given(dim=st.integers(1, 3), m=st.integers(1, 4), source=st.booleans(), report_every=st.sampled_from([1, 3, 7]),
            n_steps=st.integers(1, 25), log10_amplitude=st.floats(-2.0, 2.0),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_chain_of_steps(self, dim, m, scheme, source, report_every,
-                                    n_steps, log10_amplitude, seed):
+    def test_matches_chain_of_steps(self, dim, m, source, report_every, n_steps,
+                                    log10_amplitude, seed):
         # amplitudes above about 1 cross the threshold, at the first step or later
         dom = DomainSpec(dim, np.pi, m)
         params = ModelParams(4.0, dim, source_enabled=source)
         dt = 1e-2
-        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme=scheme,
-                           blowup_threshold=1e3, report_every=report_every)
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, blowup_threshold=1e3,
+                           report_every=report_every)
         rng = np.random.default_rng(seed)
         u0 = random_band_limited(dom, rng).scaled(10.0 ** log10_amplitude)
         u1 = random_band_limited(dom, rng).scaled(10.0 ** log10_amplitude)
@@ -456,14 +494,13 @@ class TestWorkspace:
         assert all(w.base is scratch[0].base for w in scratch)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("source", [True, False])
-    def test_stale_workspace_changes_no_bit(self, dim, scheme, source):
+    def test_stale_workspace_changes_no_bit(self, dim, source):
         # what an earlier call left in the scratch never reaches a result:
         # a scratch full of NaN gives the bits of a fresh, equal domain
         dom = DomainSpec(dim, np.pi, 4)
         params = ModelParams(5.5, dim, source_enabled=source)
-        cfg = SolverConfig(dt=1e-2, scheme=scheme)
+        cfg = SolverConfig(dt=1e-2)
         a, b = self.state(dom, seed=dim, amplitude=0.5)
 
         def stale():
@@ -534,8 +571,6 @@ class TestSolverConfig:
             SolverConfig(dt=0.0)
         with pytest.raises(ValueError):
             SolverConfig(t_end=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(scheme="RK4")
         with pytest.raises(ValueError):
             SolverConfig(blowup_threshold=0.5)
         with pytest.raises(ValueError):
