@@ -414,7 +414,11 @@ def _well_depth(cfg: RunConfig) -> dict:
     ``{d_hat, safety, trials}`` block of the summary."""
     trials, labels = default_trial_family(cfg.domain, cfg.well.trial_count,
                                           cfg.well.seed)
-    depth = estimate_depth(trials, cfg.model)
+    try:
+        depth = estimate_depth(trials, cfg.model)
+    except DegenerateFieldError as exc:
+        raise ConfigError(f"'model.gamma' ({cfg.model.gamma:g}) and 'domain.length' "
+                          f"({cfg.domain.length:g}) give no Nehari point: {exc}") from exc
     return {
         "d_hat": depth.d_hat,
         "safety": cfg.well.safety,
@@ -470,7 +474,10 @@ def cmd_welldepth(cfg: RunConfig, out_dir: Path) -> _Result:
 
 def cmd_converge(cfg: RunConfig, out_dir: Path) -> _Result:
     u0, u1 = build_initial(cfg)
-    study = convergence_study(u0, u1, cfg.solver, cfg.model, list(cfg.study.m_list))
+    try:
+        study = convergence_study(u0, u1, cfg.solver, cfg.model, list(cfg.study.m_list))
+    except MemoryError as exc:
+        raise ConfigError(f"'study.m_list' ({list(cfg.study.m_list)}): {exc}") from exc
     code = EXIT_BLOWUP if study.status == BLOWUP else EXIT_OK if study.passed else EXIT_CHECKS
     return (code, {"command": "converge", **asdict(study)},
             f"convergence {'PASS' if study.passed else 'FAIL'} E_diffs={list(study.E_diffs)}",
@@ -545,7 +552,11 @@ def main(argv: list[str] | None = None) -> int:
     except InitialEnergyError as exc:
         print(f"data error: {_initial_key(cfg.initial)}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, DegenerateFieldError, OSError) as exc:
+    except MemoryError as exc:
+        print(f"data error: 'domain.modes_per_dim' ({cfg.domain.modes_per_dim}): {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    except (ConfigError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

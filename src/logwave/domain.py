@@ -28,8 +28,8 @@ the logarithmic integrands is approximate; oversampling controls the error.
 Mode ordering is lexicographic over multi-indices, i.e. C order of the
 coefficient arrays.  All types are immutable after construction, except
 for the work arrays of ``DomainSpec.scratch`` and ``_transform_scratch``,
-which every call overwrites, and the solver's ``step_cache``, which only
-grows.  Each work array starts on a 64-byte boundary.
+which every call overwrites; a domain keeps no solver state.  Each work
+array starts on a 64-byte boundary.
 """
 
 from __future__ import annotations
@@ -167,12 +167,6 @@ class DomainSpec:
         runs and the next run then faulted back in.  Not for concurrent threads."""
         m, n = self.modes_per_dim, self.grid_per_dim
         return _aligned_arrays(m ** (self.dim - 1) * n, n ** (self.dim - 1) * m)
-
-    @cached_property
-    def step_cache(self) -> dict:
-        """The solver's per-mode step coefficients on this domain, keyed on
-        dt.  Held by the domain, so they are freed with it."""
-        return {}
 
     @cached_property
     def analysis_matrix(self) -> np.ndarray:

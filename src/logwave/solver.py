@@ -18,8 +18,8 @@ order) and the residual of E(t) + integral - E(0), which would vanish for
 the exact flow and is O(dt^2) for the scheme.
 
 The time loop runs on the raw coefficient arrays of u and u_t, with the last
-source, the ledger and the last ||grad u_t||^2 as locals; ``ModalField`` is
-built only at reports and for the state at a blow-up.  The blow-up
+source, the ledger, the last ||grad u_t||^2 and the step coefficients as
+locals; ``ModalField`` is built only at reports and at a blow-up.  The blow-up
 scan decides from ||grad u||^2 and ||grad u_t||^2, which the loop computes
 once per step (the second feeds the ledger).  A sum of non-negative terms is
 finite only when every coefficient is, so the two ``isfinite`` passes run
@@ -111,39 +111,32 @@ def blowup_scan(a: np.ndarray, b: np.ndarray, grad_sq: float, grad_ut_sq: float,
 
 
 def _trapezoid(domain: DomainSpec, dt: float) -> tuple[np.ndarray, ...]:
-    """Per-mode coefficients of one trapezoidal step of the linear part,
-    cached per dt in ``domain.step_cache``.
+    """Per-mode coefficients of one trapezoidal step of the linear part.
 
     The 2x2 solve of  a' = b,  b' = -lambda (a + b) + f  gives
     a_new = aa a + ab b + af f  and  b_new = ba a + bb b + bf f.
     """
-    cached = domain.step_cache.get(dt)
-    if cached is not None:
-        return cached
     half = 0.5 * dt * domain.eigenvalues
     quarter = 0.5 * dt * half
     det = 1.0 + half + quarter
     ab = bf = dt / det
-    coeffs = (
+    return (
         (1.0 + half - quarter) / det, ab, 0.5 * dt * dt / det,
         -2.0 * half / det, (1.0 - half - quarter) / det, bf,
     )
-    for c in coeffs:
-        c.flags.writeable = False
-    domain.step_cache[dt] = coeffs
-    return coeffs
 
 
 def step(domain: DomainSpec, a: np.ndarray, b: np.ndarray, f_prev: np.ndarray | None,
-         cfg: SolverConfig, params: ModelParams,
+         coeffs: tuple[np.ndarray, ...], params: ModelParams,
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Advance the coefficients (a, b) of (u, u_t) by one time step.
 
-    ``f_prev`` is the source of the previous step (None before the first);
-    the returned ``f_now`` is the source at ``a``, None with the source off.
+    ``coeffs`` is ``_trapezoid(domain, dt)`` for the step's dt.  ``f_prev``
+    is the source of the previous step (None before the first); the
+    returned ``f_now`` is the source at ``a``, None with the source off.
     The returned arrays are fresh; the grid work is done in ``domain.scratch``.
     """
-    aa, ab, af, ba, bb, bf = _trapezoid(domain, cfg.dt)
+    aa, ab, af, ba, bb, bf = coeffs
     a_new = aa * a + ab * b
     b_new = ba * a + bb * b
     if not params.source_enabled:
@@ -187,8 +180,9 @@ def integrate(
     a, b, f, damp = u0.coeffs, u1.coeffs, None, 0.0
     grad_ut_sq = coeff_grad_norm_sq(dom, b)
     n_steps = round(cfg.t_end / cfg.dt)
+    coeffs = _trapezoid(dom, cfg.dt)
     for n in range(1, n_steps + 1):
-        a, b, f = step(dom, a, b, f, cfg, params)
+        a, b, f = step(dom, a, b, f, coeffs, params)
         grad_ut_prev, grad_ut_sq = grad_ut_sq, coeff_grad_norm_sq(dom, b)
         damp += 0.5 * cfg.dt * (grad_ut_prev + grad_ut_sq)
         status = blowup_scan(a, b, coeff_grad_norm_sq(dom, a), grad_ut_sq,

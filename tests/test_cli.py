@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logwave
-from logwave import well
+from logwave import analysis, well
 from logwave.analysis import CHECKS
 from logwave.cli import (
     _SCHEMA,
@@ -598,6 +598,69 @@ class TestOtherCommands:
         code = main(["welldepth", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
         assert code == EXIT_CONFIG
         assert "data error" in capsys.readouterr().err
+
+    # |u|^gamma leaves the float range on some trial: at a huge gamma on a
+    # unit-scale box, and at a moderate gamma on a box of side 1e101 at m=8
+    # (at m=4 that box still has a Nehari point on every trial)
+    @pytest.mark.parametrize("command", ["run", "welldepth"])
+    @pytest.mark.parametrize("domain,gamma,keys,reason", [
+        ({"dim": 1}, 1e10, "'model.gamma' (1e+10) and 'domain.length' (3.14159)",
+         "degenerate trial (A=1.5708, G=0)"),
+        ({"length": 1e101, "modes_per_dim": 8}, 5.9,
+         "'model.gamma' (5.9) and 'domain.length' (1e+101)", "non-finite fibering moments"),
+    ], ids=["gamma", "length"])
+    def test_no_nehari_point_names_gamma_and_length(self, tmp_path, capsys, command, domain,
+                                                    gamma, keys, reason):
+        cfg = fast_run_config(tmp_path, domain=domain, model={"gamma": gamma})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"data error: {keys} give no Nehari point: {reason}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    # 200000 modes per axis in 3-D ask for 56.8 PiB, more than any address
+    # space holds, so the allocation fails at once.  Never test with a size
+    # that fits in virtual memory: the system may grant it, then kill the
+    # process when the memory is first touched.
+    @pytest.mark.parametrize("command,sections,key", [
+        ("run", {"domain": {"modes_per_dim": 200000}}, "'domain.modes_per_dim' (200000)"),
+        ("welldepth", {"domain": {"modes_per_dim": 200000}}, "'domain.modes_per_dim' (200000)"),
+        ("depend", {"domain": {"modes_per_dim": 200000}}, "'domain.modes_per_dim' (200000)"),
+        ("converge", {"domain": {"modes_per_dim": 200000}}, "'domain.modes_per_dim' (200000)"),
+        ("converge", {"study": {"m_list": [4, 200000]}}, "'study.m_list' ([4, 200000])"),
+    ], ids=["run", "welldepth", "depend", "converge", "converge-level"])
+    def test_band_beyond_memory_names_the_key(self, tmp_path, capsys, command, sections, key):
+        cfg = fast_run_config(tmp_path, solver={"t_end": 0.01}, **sections)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"data error: {key}: Unable to allocate 56.8 PiB")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.xfail(strict=True, reason="depend draws its perturbation direction from "
+                       "initial.seed, the seed of random initial data, so it perturbs "
+                       "u0 along u0 itself")
+    def test_depend_perturbs_random_data_off_itself(self, tmp_path, monkeypatch):
+        starts = []
+        real = analysis.integrate
+
+        def capture(u0, *args, **kwargs):
+            starts.append(u0)
+            return real(u0, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "integrate", capture)
+        cfg = fast_run_config(tmp_path, solver={"t_end": 0.01}, study={"epsilons": [1e-3]},
+                              initial={"type": "random", "seed": 7})
+        assert main(["depend", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+        base, perturbed = starts
+        lam, d, u = base.domain.eigenvalues, (perturbed - base).coeffs, base.coeffs
+        # the H^1_0 cosine; the basis norm cancels
+        cosine = (lam * d * u).sum() / math.sqrt((lam * d * d).sum() * (lam * u * u).sum())
+        assert abs(cosine) < 0.5
 
     @pytest.mark.parametrize("command", ["run", "welldepth"])
     def test_output_dir_naming_a_file_exits_config(self, tmp_path, capsys, command):

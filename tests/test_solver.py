@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import logwave
 from logwave import solver
-from logwave.analysis import CHECKS, CheckInput
+from logwave.analysis import CHECKS, CheckInput, continuous_dependence
 from logwave.domain import (
     DomainSpec,
     ModalField,
@@ -109,7 +109,7 @@ class TestStep:
     def test_zero_fixed_point(self):
         dom = DomainSpec(3, np.pi, 4)
         zero = np.zeros(dom.modal_shape)
-        a, b, f = step(dom, zero, zero, None, SolverConfig(dt=1e-3), PARAMS)
+        a, b, f = step(dom, zero, zero, None, _trapezoid(dom, 1e-3), PARAMS)
         assert not np.any(a)
         assert not np.any(b)
         assert not np.any(f)
@@ -121,19 +121,18 @@ class TestStep:
         # the first step has no history and adds af F(a0); a later step adds
         # af (3/2 F - 1/2 F_prev), the source extrapolated to the step midpoint
         dom = DomainSpec(3, np.pi, 4)
-        cfg = SolverConfig(dt=1e-3)
-        aa, ab, af, ba, bb, bf = _trapezoid(dom, cfg.dt)
+        coeffs = aa, ab, af, ba, bb, bf = _trapezoid(dom, 1e-3)
 
         def source(a):
             return analyze(dom, source_eval(synthesize(dom, a), PARAMS.gamma))
 
         a0 = ModalField.eigenmode(dom, (1, 1, 1), 0.3).coeffs
         b0 = ModalField.eigenmode(dom, (2, 1, 1), 0.1).coeffs
-        a1, b1, f0 = step(dom, a0, b0, None, cfg, PARAMS)
+        a1, b1, f0 = step(dom, a0, b0, None, coeffs, PARAMS)
         assert np.array_equal(f0, source(a0))
         assert np.array_equal(a1, aa * a0 + ab * b0 + af * f0)
         assert np.array_equal(b1, ba * a0 + bb * b0 + bf * f0)
-        a2, b2, f1 = step(dom, a1, b1, f0, cfg, PARAMS)
+        a2, b2, f1 = step(dom, a1, b1, f0, coeffs, PARAMS)
         assert np.array_equal(f1, source(a1))
         f_star = 1.5 * f1 - 0.5 * f0
         assert np.array_equal(a2, aa * a1 + ab * b1 + af * f_star)
@@ -143,10 +142,10 @@ class TestStep:
         dom = DomainSpec(3, np.pi, 4)
         u = ModalField.eigenmode(dom, (1, 1, 1), 0.5).coeffs
         ut = np.zeros(dom.modal_shape)
-        cfg = SolverConfig(dt=1e-2)
-        a1, b1, f0 = step(dom, u, ut, None, cfg, PARAMS)
-        with_history, _, _ = step(dom, a1, b1, f0, cfg, PARAMS)
-        without_history, _, _ = step(dom, a1, b1, None, cfg, PARAMS)
+        coeffs = _trapezoid(dom, 1e-2)
+        a1, b1, f0 = step(dom, u, ut, None, coeffs, PARAMS)
+        with_history, _, _ = step(dom, a1, b1, f0, coeffs, PARAMS)
+        without_history, _, _ = step(dom, a1, b1, None, coeffs, PARAMS)
         assert not np.array_equal(with_history, without_history)
 
     @pytest.mark.parametrize("k,expect_complex", [((1, 1, 1), True), ((2, 2, 2), False)])
@@ -294,8 +293,8 @@ class TestIntegrate:
         residual, *second_order = residual_and_ratios()
         assert residual < 1e-4 and min(second_order) >= 3.5
         real_step = solver.step
-        monkeypatch.setattr(solver, "step", lambda domain, a, b, f_prev, cfg, params:
-                            real_step(domain, a, b, None, cfg, params))
+        monkeypatch.setattr(solver, "step", lambda domain, a, b, f_prev, coeffs, params:
+                            real_step(domain, a, b, None, coeffs, params))
         residual, *first_order = residual_and_ratios()
         assert residual < 1e-4
         assert max(first_order) < 3.5
@@ -337,8 +336,9 @@ class TestIntegrate:
         a, b, f, damp = u0.coeffs, u1.coeffs, None, 0.0
         expected = [(0, a, b, damp)]
         status = COMPLETED
+        coeffs = _trapezoid(dom, dt)
         for n in range(1, n_steps + 1):
-            a_new, b_new, f = step(dom, a, b, f, cfg, params)
+            a_new, b_new, f = step(dom, a, b, f, coeffs, params)
             damp += 0.5 * dt * (grad_norm_sq(ModalField(dom, b))
                                 + grad_norm_sq(ModalField(dom, b_new)))
             a, b = a_new, b_new
@@ -408,6 +408,26 @@ class TestIntegrate:
         dts = np.diff([r.t for r in reports])
         assert np.allclose(dts, 0.01, rtol=1e-9)
 
+    def test_step_coefficients_built_once_per_integrate(self, monkeypatch):
+        # integrate owns the coefficients of its one dt: one build per call,
+        # whatever the step count, so one per trajectory of a study
+        built = []
+        real = solver._trapezoid
+        monkeypatch.setattr(solver, "_trapezoid",
+                            lambda domain, dt: built.append(dt) or real(domain, dt))
+        dom = DomainSpec(3, np.pi, 4)
+        u0, u1 = ModalField.eigenmode(dom, (1, 1, 1), 0.05), ModalField.zeros(dom)
+        for n_steps in (1, 7, 40):
+            built.clear()
+            result = integrate(u0, u1, SolverConfig(dt=1e-3, t_end=n_steps * 1e-3), PARAMS)
+            assert result.reports[-1].t == n_steps * 1e-3
+            assert built == [1e-3]
+        built.clear()
+        report = continuous_dependence(u0, u1, SolverConfig(dt=1e-3, t_end=0.02), PARAMS,
+                                       epsilons=(1e-3, 1e-4), seed=1)
+        assert report.status == COMPLETED
+        assert built == [1e-3] * 3
+
 
 class TestWorkspace:
     """One grid scratch per domain, reused by every step, report and trial."""
@@ -426,11 +446,13 @@ class TestWorkspace:
         # temporaries (0.75 of a grid at m=16) and a report less than one grid
         dom = DomainSpec(3, np.pi, 16)
         params = ModelParams(gamma, 3)
-        cfg = SolverConfig(dt=1e-3)
+        # the coefficients are built outside the traced window, as integrate
+        # builds them once before its loop
+        coeffs = _trapezoid(dom, 1e-3)
         a, b = self.state(dom)
-        f = step(dom, a, b, None, cfg, params)[2]
+        f = step(dom, a, b, None, coeffs, params)[2]
         u, ut = ModalField(dom, a), ModalField(dom, b)
-        calls = ((lambda: step(dom, a, b, f, cfg, params), 1.1),
+        calls = ((lambda: step(dom, a, b, f, coeffs, params), 1.1),
                  (lambda: energy(u, ut, params), 0.8))
         for call, grids in calls:
             call()
@@ -460,12 +482,10 @@ class TestWorkspace:
         assert made == [dom]
 
     def test_domain_freed_after_integrate(self):
-        # the step coefficients are cached on the domain, not in the module
         dom = DomainSpec(3, np.pi, 4)
         a, b = self.state(dom)
         cfg = SolverConfig(dt=1e-3, t_end=0.02, report_every=5)
         result = integrate(ModalField(dom, a), ModalField(dom, b), cfg, PARAMS)
-        assert list(dom.step_cache) == [cfg.dt]
         ref = weakref.ref(dom)
         del dom, result
         gc.collect()
@@ -500,7 +520,7 @@ class TestWorkspace:
         # a scratch full of NaN gives the bits of a fresh, equal domain
         dom = DomainSpec(dim, np.pi, 4)
         params = ModelParams(5.5, dim, source_enabled=source)
-        cfg = SolverConfig(dt=1e-2)
+        coeffs = _trapezoid(dom, 1e-2)
         a, b = self.state(dom, seed=dim, amplitude=0.5)
 
         def stale():
@@ -516,8 +536,8 @@ class TestWorkspace:
 
         f_fresh = f_stale = None
         for _ in range(2):
-            want = step(fresh(), a, b, f_fresh, cfg, params)
-            got = step(stale(), a, b, f_stale, cfg, params)
+            want = step(fresh(), a, b, f_fresh, coeffs, params)
+            got = step(stale(), a, b, f_stale, coeffs, params)
             assert all(same_bits(x, y) for x, y in zip(got, want))
             assert not any(np.shares_memory(x, w)
                            for x in got if x is not None for w in dom.scratch)
