@@ -35,6 +35,7 @@ array starts on a 64-byte boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -84,6 +85,12 @@ class DomainSpec:
             raise ValueError(f"modes_per_dim must be >= 1, got {self.modes_per_dim}")
         if self.oversample < 2:
             raise ValueError(f"oversample must be >= 2, got {self.oversample}")
+        # NumPy refuses an array past sys.maxsize bytes with a ValueError, not a
+        # MemoryError; the largest is the grid, or the N x m sine matrix in 1-D
+        n = self.grid_per_dim
+        if max(n ** self.dim, n * self.modes_per_dim) * 8 > sys.maxsize:
+            raise ValueError(f"modes_per_dim {self.modes_per_dim} with oversample "
+                             f"{self.oversample} gives arrays beyond NumPy's size limit")
         # the basis scales are Python float powers, which raise OverflowError
         # or underflow to 0 for a box far from unit size
         try:

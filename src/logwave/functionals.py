@@ -84,12 +84,10 @@ class ModelParams:
 class EnergyReport:
     """One time sample of the energy ledger.
 
-    ``CSV_COLUMNS`` is every field but grad_ut_sq, in field order.  kinetic
-    is 1/2 ||u_t||_2^2, grad_sq is ||grad u||_2^2, lgamma is ||u||_g^g,
-    logterm is B(u), cross_term is (u_t, u).  damping_integral and
-    identity_residual are filled by the integrator; grad_ut_sq
-    (||grad u_t||_2^2) is carried in memory for the pointwise Poincare
-    check but is not a CSV column.
+    ``CSV_COLUMNS`` is every field, in field order.  kinetic is 1/2 ||u_t||_2^2,
+    grad_sq and grad_ut_sq are ||grad u||_2^2 and ||grad u_t||_2^2, lgamma is
+    ||u||_g^g, logterm is B(u), cross_term is (u_t, u); the integrator fills
+    damping_integral and identity_residual.
     """
 
     t: float
@@ -103,10 +101,10 @@ class EnergyReport:
     cross_term: float
     damping_integral: float = 0.0
     identity_residual: float = 0.0
-    grad_ut_sq: float = float("nan")
+    grad_ut_sq: float = 0.0
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(EnergyReport) if f.name != "grad_ut_sq")
+CSV_COLUMNS = tuple(f.name for f in fields(EnergyReport))
 
 
 def _pow_log(s, p: float, work=None):

@@ -1,5 +1,6 @@
 import math
 import operator
+import warnings
 import weakref
 from dataclasses import asdict, replace
 
@@ -61,8 +62,7 @@ def synthetic_reports(ts, es, **overrides):
     for t, e in zip(ts, es):
         fields = dict(t=t, E=e, J=e, I=0.0, kinetic=0.0, grad_sq=0.0,
                       lgamma=0.0, logterm=0.0, cross_term=0.0,
-                      damping_integral=0.0, identity_residual=0.0,
-                      grad_ut_sq=float("nan"))
+                      damping_integral=0.0, identity_residual=0.0)
         fields.update(overrides)
         rows.append(EnergyReport(**fields))
     return rows
@@ -143,11 +143,11 @@ class TestVirialIdentity:
         ts = np.linspace(0, 1, 50)
         assert check_virial_identity(synthetic_reports(ts, np.zeros_like(ts))) == 0.0
 
-    def test_missing_cross_column_rejected(self):
+    def test_nan_cross_term_gives_nan_measure(self):
         ts = np.linspace(0, 1, 50)
-        reports = synthetic_reports(ts, np.ones_like(ts), cross_term=float("nan"))
-        with pytest.raises(ValueError):
-            check_virial_identity(reports)
+        reports = synthetic_reports(ts, np.ones_like(ts))
+        reports[20] = replace(reports[20], cross_term=math.nan)
+        assert math.isnan(check_virial_identity(reports))
 
     @settings(deadline=None, max_examples=300)
     @given(data=st.data(), n=st.integers(2, 60))
@@ -258,6 +258,31 @@ class TestIntegralBound:
         # pure function: identical on repeat evaluation
         again = check_integral_bound(result.reports, dom, PARAMS)
         assert again == suite
+
+    def test_poincare_margin_reads_every_nonzero_velocity_gradient(self):
+        dom = DomainSpec(3, np.pi, 4)
+        cp = 1 / math.sqrt(3)
+        ts = np.linspace(0, 1, 11)
+        # no sample with a nonzero ||grad u_t||^2: nothing to measure
+        reports = synthetic_reports(ts, np.exp(-ts), kinetic=0.5)
+        assert check_integral_bound(reports, dom, PARAMS).poincare_margin is None
+        reports[3] = replace(reports[3], grad_ut_sq=4.0)
+        assert check_integral_bound(reports, dom, PARAMS).poincare_margin == 0.5 / cp
+
+    @pytest.mark.parametrize("cells", [
+        {"grad_ut_sq": math.nan}, {"kinetic": math.nan}, {"grad_ut_sq": -1.0},
+        {"kinetic": math.inf, "grad_ut_sq": math.inf}, {"grad_ut_sq": 1e-320},
+    ], ids=["nan-gradient", "nan-kinetic", "negative", "inf-over-inf", "overflow"])
+    def test_poincare_row_fails_bad_samples_quietly(self, cells):
+        ts = np.linspace(0, 1, 11)
+        reports = synthetic_reports(ts, np.exp(-ts), kinetic=0.5, grad_ut_sq=4.0)
+        reports[5] = replace(reports[5], **cells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checks, _ = run_checks(reports, DomainSpec(3, np.pi, 4), PARAMS)
+        row = {c["name"]: c for c in checks}["poincare_margin"]
+        assert row["status"] == "FAIL"
+        assert not math.isfinite(row["measured"])
 
 
 @pytest.fixture(scope="module")

@@ -28,14 +28,28 @@ from logwave.cli import (
     main,
     parse_config,
     read_csv,
+    write_csv,
 )
-from logwave.functionals import CSV_COLUMNS
+from logwave.functionals import CSV_COLUMNS, EnergyReport
+from logwave.solver import integrate
 
 MINIMAL = {
     "domain": {"dim": 3, "length": math.pi},
     "model": {"gamma": 4.0},
     "initial": {"amplitude": 0.05},
 }
+
+
+# a row of E = inf; the cells it does not name are 1
+INFINITE_ROW = {"t": 0, "E": "inf", "kinetic": "inf", "cross_term": 0,
+                "damping_integral": 0, "identity_residual": 0}
+
+
+def csv_text(*rows) -> str:
+    """A trajectory CSV of the given rows, each a dict of cells by column;
+    a cell that a row does not name is 1."""
+    return "".join(",".join(str(row.get(c, 1)) for c in CSV_COLUMNS) + "\n"
+                   for row in ({c: c for c in CSV_COLUMNS}, *rows))
 
 
 def write_config(path, doc):
@@ -600,20 +614,27 @@ class TestOtherCommands:
         assert "data error" in capsys.readouterr().err
 
     # |u|^gamma leaves the float range on some trial: at a huge gamma on a
-    # unit-scale box, and at a moderate gamma on a box of side 1e101 at m=8
-    # (at m=4 that box still has a Nehari point on every trial)
+    # unit-scale box (where exp overflows at 500 and 5000, with no warning), and
+    # at a moderate gamma on a box of side 1e101 at m=8 (at m=4 that box still
+    # has a Nehari point on every trial)
     @pytest.mark.parametrize("command", ["run", "welldepth"])
     @pytest.mark.parametrize("domain,gamma,keys,reason", [
         ({"dim": 1}, 1e10, "'model.gamma' (1e+10) and 'domain.length' (3.14159)",
          "degenerate trial (A=1.5708, G=0)"),
         ({"length": 1e101, "modes_per_dim": 8}, 5.9,
          "'model.gamma' (5.9) and 'domain.length' (1e+101)", "non-finite fibering moments"),
-    ], ids=["gamma", "length"])
+        ({"dim": 1, "modes_per_dim": 8}, 500.0,
+         "'model.gamma' (500) and 'domain.length' (3.14159)", "non-finite fibering moments"),
+        ({"dim": 1, "modes_per_dim": 8}, 5000.0,
+         "'model.gamma' (5000) and 'domain.length' (3.14159)", "non-finite fibering moments"),
+    ], ids=["gamma", "length", "gamma500", "gamma5000"])
     def test_no_nehari_point_names_gamma_and_length(self, tmp_path, capsys, command, domain,
                                                     gamma, keys, reason):
         cfg = fast_run_config(tmp_path, domain=domain, model={"gamma": gamma})
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith(f"data error: {keys} give no Nehari point: {reason}")
         assert captured.err.count("\n") == 1
@@ -623,20 +644,38 @@ class TestOtherCommands:
     # 200000 modes per axis in 3-D ask for 56.8 PiB, more than any address
     # space holds, so the allocation fails at once.  Never test with a size
     # that fits in virtual memory: the system may grant it, then kill the
-    # process when the memory is first touched.
-    @pytest.mark.parametrize("command,sections,key", [
-        ("run", {"domain": {"modes_per_dim": 200000}}, "'domain.modes_per_dim' (200000)"),
-        ("welldepth", {"domain": {"modes_per_dim": 200000}}, "'domain.modes_per_dim' (200000)"),
-        ("depend", {"domain": {"modes_per_dim": 200000}}, "'domain.modes_per_dim' (200000)"),
-        ("converge", {"domain": {"modes_per_dim": 200000}}, "'domain.modes_per_dim' (200000)"),
-        ("converge", {"study": {"m_list": [4, 200000]}}, "'study.m_list' ([4, 200000])"),
-    ], ids=["run", "welldepth", "depend", "converge", "converge-level"])
-    def test_band_beyond_memory_names_the_key(self, tmp_path, capsys, command, sections, key):
+    # process when the memory is first touched.  3000000 modes, or an
+    # oversample of 1e6, ask for arrays past sys.maxsize bytes, which NumPy
+    # refuses with a ValueError, so the config check rejects them first.
+    @pytest.mark.parametrize("command,sections,prefix", [
+        ("run", {"domain": {"modes_per_dim": 200000}}, "data error: 'domain.modes_per_dim' (200000)"),
+        ("welldepth", {"domain": {"modes_per_dim": 200000}}, "data error: 'domain.modes_per_dim' (200000)"),
+        ("depend", {"domain": {"modes_per_dim": 200000}}, "data error: 'domain.modes_per_dim' (200000)"),
+        ("converge", {"domain": {"modes_per_dim": 200000}}, "data error: 'domain.modes_per_dim' (200000)"),
+        ("converge", {"study": {"m_list": [4, 200000]}}, "data error: 'study.m_list' ([4, 200000])"),
+        ("run", {"domain": {"modes_per_dim": 3000000}}, "config error: domain: modes_per_dim 3000000"),
+        ("welldepth", {"domain": {"modes_per_dim": 3000000}}, "config error: domain: modes_per_dim 3000000"),
+        ("depend", {"domain": {"modes_per_dim": 3000000}}, "config error: domain: modes_per_dim 3000000"),
+        ("converge", {"domain": {"modes_per_dim": 3000000}}, "config error: domain: modes_per_dim 3000000"),
+        ("converge", {"study": {"m_list": [4, 3000000]}},
+         "config error: 'study.m_list': modes_per_dim 3000000"),
+        ("run", {"domain": {"oversample": 10 ** 6}},
+         "config error: domain: modes_per_dim 4 with oversample 1000000"),
+        ("welldepth", {"domain": {"oversample": 10 ** 6}},
+         "config error: domain: modes_per_dim 4 with oversample 1000000"),
+    ], ids=["run", "welldepth", "depend", "converge", "converge-level", "run-limit",
+            "welldepth-limit", "depend-limit", "converge-limit", "converge-level-limit",
+            "run-oversample", "welldepth-oversample"])
+    def test_band_beyond_memory_names_the_key(self, tmp_path, capsys, command, sections, prefix):
         cfg = fast_run_config(tmp_path, solver={"t_end": 0.01}, **sections)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"data error: {key}: Unable to allocate 56.8 PiB")
+        if prefix.startswith("data error"):
+            assert captured.err.startswith(f"{prefix}: Unable to allocate 56.8 PiB")
+        else:
+            assert captured.err.startswith(prefix)
+            assert captured.err.endswith(" gives arrays beyond NumPy's size limit\n")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
@@ -698,19 +737,21 @@ class TestOtherCommands:
 
     def test_verify_roundtrip(self, tmp_path):
         cfg = fast_run_config(tmp_path)
-        checks = {}
+        summaries = {}
         for command in ("run", "verify"):
             assert main([command, "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_OK
-            checks[command] = json.loads((tmp_path / "summary.json").read_text())["checks"]
+            summaries[command] = json.loads((tmp_path / "summary.json").read_text())
+        for block in ("estimates", "decay_fit"):
+            assert summaries["run"][block] == summaries["verify"][block]
+        checks = {command: summary["checks"] for command, summary in summaries.items()}
         names = {c["name"]: c for c in checks["verify"]}
         assert names["energy_identity"]["status"] == "PASS"
-        # the velocity-gradient column is not in the CSV
-        assert names["poincare_margin"]["status"] == "SKIP"
-        # both commands evaluate one check table; verify has no stable-set
-        # verdict either, so it skips those rows and agrees on all others
+        assert names["poincare_margin"]["status"] == "PASS"
+        # both commands evaluate one check table on one record; verify has no
+        # stable-set verdict, so it skips the three rows that need it and
+        # agrees on all others, and on the estimates and the decay fit
         assert [c["name"] for c in checks["run"]] == [c["name"] for c in checks["verify"]]
-        skipped = {"invariance_I_positive", "invariance_E_below_threshold", "uniform_bound",
-                   "poincare_margin"}
+        skipped = {"invariance_I_positive", "invariance_E_below_threshold", "uniform_bound"}
         for ran, verified in zip(checks["run"], checks["verify"]):
             if ran["name"] in skipped:
                 assert (ran["status"], verified["status"]) == ("PASS", "SKIP")
@@ -731,7 +772,7 @@ class TestOtherCommands:
         for content, message in [
             (b"t,E\n0,1\n", "does not carry the expected column set"),
             (b"\xff\xfe\x00t,E\n", "is not a CSV file"),
-            (header + b"\n0,x,1,1,1,1,1,1,0,0,0\n", "malformed row"),
+            (csv_text({"E": "x"}).encode(), "malformed row"),
             (header + b"\n", "holds no samples"),
         ]:
             (tmp_path / "trajectory.csv").write_bytes(content)
@@ -745,7 +786,7 @@ class TestOtherCommands:
         csv_path = tmp_path / "trajectory.csv"
         lines = csv_path.read_text().splitlines()
         cells = lines[-1].split(",")
-        cells[-1] = "0.5"  # identity residual far above tolerance
+        cells[CSV_COLUMNS.index("identity_residual")] = "0.5"  # far above tolerance
         lines[-1] = ",".join(cells)
         csv_path.write_text("\n".join(lines) + "\n")
         code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
@@ -772,8 +813,7 @@ class TestOtherCommands:
     def test_verify_fails_infinite_initial_energy(self, tmp_path, capsys):
         # every check relative to an infinite E(0) would read 0 and pass
         cfg = fast_run_config(tmp_path)
-        (tmp_path / "trajectory.csv").write_text(
-            f"{','.join(CSV_COLUMNS)}\n0,inf,1,1,inf,1,1,1,0,0,0\n")
+        (tmp_path / "trajectory.csv").write_text(csv_text(INFINITE_ROW))
         code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path)])
         assert code == EXIT_CHECKS
         out = capsys.readouterr().out
@@ -784,7 +824,7 @@ class TestOtherCommands:
     def test_verify_infinite_rows_warn_nothing(self, tmp_path, capsys):
         cfg = fast_run_config(tmp_path)
         (tmp_path / "trajectory.csv").write_text(
-            f"{','.join(CSV_COLUMNS)}\n0,inf,1,1,inf,1,1,1,0,0,0\n0.01,inf,1,1,inf,1,1,1,0,0,0\n")
+            csv_text(INFINITE_ROW, {**INFINITE_ROW, "t": 0.01}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path)])
@@ -836,6 +876,86 @@ class TestOtherCommands:
         assert main(["converge", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"]) == EXIT_BLOWUP
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert (summary["status"], summary["failed_level"], summary["E_end"]) == ("BLOWUP", 0, [])
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """The output directory of one fast run, with its config."""
+    out = tmp_path_factory.mktemp("run")
+    cfg = fast_run_config(out)
+    assert main(["run", "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_OK
+    return out, cfg
+
+
+# the mandatory rows that read each column when no stable-set verdict is at
+# hand, as in verify; E(0) scales every row, so the NaN goes in a later row.
+# No mandatory row reads J, lgamma, logterm or damping_integral.
+MANDATORY_READERS = {
+    "t": {"virial_identity"},
+    "E": {"monotone_dissipation"},
+    "J": set(),
+    "I": {"virial_identity"},
+    "kinetic": {"virial_identity", "poincare_margin"},
+    "grad_sq": {"virial_identity"},
+    "lgamma": set(),
+    "logterm": set(),
+    "cross_term": {"virial_identity"},
+    "damping_integral": set(),
+    "identity_residual": {"energy_identity"},
+    "grad_ut_sq": {"poincare_margin"},
+}
+
+
+class TestTrajectoryRecord:
+    """trajectory.csv carries every EnergyReport field, so verify reads the
+    record run wrote and a NaN in any column fails the rows that read it."""
+
+    def test_readers_cover_every_column(self):
+        assert tuple(MANDATORY_READERS) == CSV_COLUMNS
+
+    def test_roundtrip_of_a_run(self, run_dir):
+        out, cfg = run_dir
+        config = parse_config(Path(cfg).read_text())
+        reports = integrate(*build_initial(config), config.solver, config.model).reports
+        assert read_csv(out / "trajectory.csv") == reports
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.builds(EnergyReport, *[st.floats(allow_nan=False, allow_infinity=False)]
+                              * len(CSV_COLUMNS)), min_size=1, max_size=5))
+    def test_roundtrip_of_finite_floats(self, reports):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_csv(Path(tmp) / "t.csv", reports)
+            assert read_csv(Path(tmp) / "t.csv") == reports
+
+    def test_eleven_column_csv_exits_config(self, run_dir, tmp_path, capsys):
+        # the format before grad_ut_sq joined the columns: no path reads it
+        out, cfg = run_dir
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        (tmp_path / "trajectory.csv").write_text(
+            "".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        assert main(["verify", "--config", cfg, "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "does not carry the expected column set" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("column", CSV_COLUMNS)
+    def test_nan_in_a_column_fails_its_readers(self, run_dir, tmp_path, capsys, column):
+        out, cfg = run_dir
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        cells = lines[len(lines) // 2].split(",")
+        cells[CSV_COLUMNS.index(column)] = "nan"
+        lines[len(lines) // 2] = ",".join(cells)
+        (tmp_path / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--config", cfg, "--output-dir", str(tmp_path), "--quiet"])
+        assert capsys.readouterr().err == ""
+        readers = MANDATORY_READERS[column]
+        assert code == (EXIT_CHECKS if readers else EXIT_OK)
+        checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+        statuses = {c["name"]: c["status"] for c in checks if c["mandatory"]}
+        assert {name for name, status in statuses.items() if status == "FAIL"} == readers
+        assert "SKIP" not in {statuses[name] for name in readers}
 
 
 def check_lines(summary):
@@ -1020,7 +1140,7 @@ def test_any_config_document_exits_cleanly(command, data):
         out = tmp / "out"
         out.mkdir()
         for name in ("t.csv", "trajectory.csv"):  # one sample for verify to read
-            (out / name).write_text(f"{','.join(CSV_COLUMNS)}\n{','.join(['0.5'] * 11)}\n")
+            (out / name).write_text(csv_text({c: 0.5 for c in CSV_COLUMNS}))
         config = write_config(tmp / "config.json", doc)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")

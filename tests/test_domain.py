@@ -87,6 +87,13 @@ class TestDomainSpec:
             DomainSpec(1, np.pi, 0)
         with pytest.raises(ValueError):
             DomainSpec(1, np.pi, 8, oversample=1)
+        # an array beyond sys.maxsize bytes, which NumPy refuses outright; the
+        # grid in 3-D, the N x m sine matrix in 1-D
+        for dim, m, oversample in ((3, 3000000, 2), (3, 4, 10 ** 6), (1, 10 ** 9, 2)):
+            with pytest.raises(ValueError, match=f"modes_per_dim {m} with oversample {oversample}"):
+                DomainSpec(dim, np.pi, m, oversample)
+        # 200000 modes in 3-D (56.8 PiB) lie below the limit: allocation refuses them
+        assert DomainSpec(3, np.pi, 200000).grid_per_dim == 400000
         # (L/2)^dim or lambda_max overflows, or h^dim or lambda_min underflows to 0
         for dim, length in ((3, 1e150), (3, 1e-160), (1, 1e308), (3, 1e-110)):
             with pytest.raises(ValueError, match="length"):
