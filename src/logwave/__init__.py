@@ -42,6 +42,7 @@ from .solver import (
     SolverConfig,
     blowup_scan,
     integrate,
+    source_projection,
     step,
 )
 from .well import (

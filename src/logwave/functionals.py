@@ -17,8 +17,9 @@ grid point and builds |s|^p from it as exp(p ln|s|) unless p is an integer
 from 1 to 4.  The kernel writes into two grid buffers and its callers
 multiply into them in place.  ``field_log_moments`` synthesizes u into
 the first array of ``DomainSpec.scratch`` and hands the kernel the other
-two, as ``solver.step`` does for the source, so neither a report of
-``energy`` nor ``well.fiber_moments`` allocates a grid-sized array.
+two, as ``solver.source_projection`` does for the source, so neither a
+report of ``energy`` nor ``well.fiber_moments`` allocates a grid-sized
+array.
 """
 
 from __future__ import annotations

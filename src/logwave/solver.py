@@ -6,11 +6,12 @@ ODE per mode,
     a_k'' + lambda_k a_k' + lambda_k a_k = F_k(a),
 
 where F_k is the modal projection of the logarithmic source evaluated
-pseudospectrally.  The stiff linear part (stiffness grows like the largest
-eigenvalue) is advanced by the trapezoidal rule, an unconditionally stable
-per-mode 2x2 solve that is diagonal in the eigenbasis.  The source is
-explicit, extrapolated to the step midpoint as 3/2 F^n - 1/2 F^(n-1)
-(Crank-Nicolson/Adams-Bashforth, second order); the first step takes F^0.
+pseudospectrally; ``source_projection`` is the one place F(a) is computed.
+The stiff linear part (stiffness grows like the largest eigenvalue) is
+advanced by the trapezoidal rule, an unconditionally stable per-mode 2x2
+solve that is diagonal in the eigenbasis.  The source is explicit,
+extrapolated to the step midpoint as 3/2 F^n - 1/2 F^(n-1) (Crank-Nicolson/
+Adams-Bashforth, second order); the first step takes F^0.
 
 The integrator maintains a discrete energy ledger: the accumulated
 dissipation integral of ||grad u_t||^2 (trapezoidal, matching the scheme's
@@ -24,11 +25,11 @@ scan decides from ||grad u||^2 and ||grad u_t||^2, which the loop computes
 once per step (the second feeds the ledger).  A sum of non-negative terms is
 finite only when every coefficient is, so the two ``isfinite`` passes run
 only once a norm is not finite: at m=8 the loop is bound by the cost of each
-NumPy call, not by arithmetic.  Every step and report synthesizes u and
-takes its pointwise logs in the domain's ``scratch``, so the loop allocates
-no grid-sized array: at m=16 a 32^3 grid is 256 kB, above the allocator's
-trim threshold, and fresh grid arrays were mapped anew from the operating
-system on every step.
+NumPy call, not by arithmetic.  Every step (through ``source_projection``)
+and report synthesizes u and takes its pointwise logs in the domain's
+``scratch``, so the loop allocates no grid-sized array: at m=16 a 32^3 grid
+is 256 kB, above the allocator's trim threshold, and fresh grid arrays were
+mapped anew from the operating system on every step.
 """
 
 from __future__ import annotations
@@ -126,6 +127,17 @@ def _trapezoid(domain: DomainSpec, dt: float) -> tuple[np.ndarray, ...]:
     )
 
 
+def source_projection(domain: DomainSpec, a: np.ndarray, gamma: float) -> np.ndarray:
+    """F(a), the modal projection P_band f(u) of the source at coefficients a.
+
+    u is synthesized into ``domain.scratch[0]`` and its pointwise logs are
+    taken in ``scratch[1:]``; the returned modal array is fresh.
+    """
+    scratch = domain.scratch
+    u = synthesize(domain, a, out=scratch[0])
+    return analyze(domain, source_eval(u, gamma, scratch[1:]))
+
+
 def step(domain: DomainSpec, a: np.ndarray, b: np.ndarray, f_prev: np.ndarray | None,
          coeffs: tuple[np.ndarray, ...], params: ModelParams,
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -133,18 +145,15 @@ def step(domain: DomainSpec, a: np.ndarray, b: np.ndarray, f_prev: np.ndarray | 
 
     ``coeffs`` is ``_trapezoid(domain, dt)`` for the step's dt.  ``f_prev``
     is the source of the previous step (None before the first); the
-    returned ``f_now`` is the source at ``a``, None with the source off.
-    The returned arrays are fresh; the grid work is done in ``domain.scratch``.
+    returned ``f_now`` is ``source_projection`` at ``a``, None with the
+    source off.  The returned arrays are fresh.
     """
     aa, ab, af, ba, bb, bf = coeffs
     a_new = aa * a + ab * b
     b_new = ba * a + bb * b
     if not params.source_enabled:
         return a_new, b_new, None
-    scratch = domain.scratch
-    # the modal projection F = P_band f(u) of the source in the eigenbasis
-    u = synthesize(domain, a, out=scratch[0])
-    f_now = analyze(domain, source_eval(u, params.gamma, scratch[1:]))
+    f_now = source_projection(domain, a, params.gamma)
     f_star = f_now if f_prev is None else 1.5 * f_now - 0.5 * f_prev
     a_new += af * f_star
     b_new += bf * f_star

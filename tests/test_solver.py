@@ -40,6 +40,7 @@ from logwave.solver import (
     _trapezoid,
     blowup_scan,
     integrate,
+    source_projection,
     step,
 )
 from logwave.well import default_trial_family, estimate_depth, project_to_nehari, stable_set_check
@@ -56,6 +57,15 @@ def measure(name, dom, result, verdict=None):
 def scan(dom, a, b, threshold):
     """``blowup_scan`` given the two gradient norms that the loop computes."""
     return blowup_scan(a, b, coeff_grad_norm_sq(dom, a), coeff_grad_norm_sq(dom, b), threshold)
+
+
+def fresh_source_projection(dom, a, gamma):
+    """F(a) by the fresh-array chain, the reference for ``source_projection``."""
+    return analyze(dom, source_eval(synthesize(dom, a), gamma))
+
+
+def same_bits(x, y):
+    return x is y or np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
 def params_1d(gamma=4.0, source=True):
@@ -80,21 +90,21 @@ def damped_mode_exact(lam: float, t: np.ndarray, a0: float = 1.0, b0: float = 0.
 class TestRhsNonlinear:
     def test_zero(self):
         dom = DomainSpec(3, np.pi, 4)
-        F = analyze(dom, source_eval(synthesize(dom, np.zeros(dom.modal_shape)), 4.0))
+        F = source_projection(dom, np.zeros(dom.modal_shape), 4.0)
         assert not np.any(F)
 
     def test_plateau_nearly_annihilated(self):
         # grid values ~ 1 in the interior make ln|u| ~ 0 there
         dom = DomainSpec(1, np.pi, 32, 16)
         plateau = analyze(dom, np.ones(dom.grid_shape))
-        F_plateau = analyze(dom, source_eval(synthesize(dom, plateau), 4.0))
-        F_lifted = analyze(dom, source_eval(synthesize(dom, np.e * plateau), 4.0))
+        F_plateau = source_projection(dom, plateau, 4.0)
+        F_lifted = source_projection(dom, np.e * plateau, 4.0)
         assert np.abs(F_plateau).max() < 0.1 * np.abs(F_lifted).max()
 
     def test_against_dense_quadrature_oracle(self):
         dom = DomainSpec(1, np.pi, 8, 32)
         u = ModalField.eigenmode(dom, (1,), 0.3)
-        F = analyze(dom, source_eval(synthesize(dom, u.coeffs), 4.0))
+        F = source_projection(dom, u.coeffs, 4.0)
         x = np.linspace(0, np.pi, 200001)
         uv = 0.3 * np.sin(x)
         fv = np.abs(uv) ** 2 * uv * np.log(np.maximum(np.abs(uv), 1e-300))
@@ -103,6 +113,23 @@ class TestRhsNonlinear:
         ])
         scale = np.abs(oracle).max()
         assert np.abs(F - oracle).max() <= 1e-8 * scale
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [3.0, 4.0, 5.0, 5.5])
+    def test_equals_the_fresh_array_reference(self, dim, gamma):
+        # gamma - 2 = 1, 2 and 3 take the log kernel's products, 3.5 its exp
+        dom = DomainSpec(dim, np.pi, 4)
+        a = 0.5 * np.random.default_rng(dim).standard_normal(dom.modal_shape)
+        a_before = a.copy()
+        want = fresh_source_projection(dom, a, gamma)
+        assert same_bits(source_projection(dom, a, gamma), want)
+        # the second call runs on the scratch the first left, here made NaN
+        for w in dom.scratch:
+            w.fill(np.nan)
+        got = source_projection(dom, a, gamma)
+        assert same_bits(got, want)
+        assert same_bits(a, a_before)
+        assert not any(np.shares_memory(got, w) for w in dom.scratch)
 
 
 class TestStep:
@@ -124,16 +151,19 @@ class TestStep:
         coeffs = aa, ab, af, ba, bb, bf = _trapezoid(dom, 1e-3)
 
         def source(a):
-            return analyze(dom, source_eval(synthesize(dom, a), PARAMS.gamma))
+            # step's source and source_projection both give the reference's bits
+            want = fresh_source_projection(dom, a, PARAMS.gamma)
+            assert same_bits(source_projection(dom, a, PARAMS.gamma), want)
+            return want
 
         a0 = ModalField.eigenmode(dom, (1, 1, 1), 0.3).coeffs
         b0 = ModalField.eigenmode(dom, (2, 1, 1), 0.1).coeffs
         a1, b1, f0 = step(dom, a0, b0, None, coeffs, PARAMS)
-        assert np.array_equal(f0, source(a0))
+        assert same_bits(f0, source(a0))
         assert np.array_equal(a1, aa * a0 + ab * b0 + af * f0)
         assert np.array_equal(b1, ba * a0 + bb * b0 + bf * f0)
         a2, b2, f1 = step(dom, a1, b1, f0, coeffs, PARAMS)
-        assert np.array_equal(f1, source(a1))
+        assert same_bits(f1, source(a1))
         f_star = 1.5 * f1 - 0.5 * f0
         assert np.array_equal(a2, aa * a1 + ab * b1 + af * f_star)
         assert np.array_equal(b2, ba * a1 + bb * b1 + bf * f_star)
@@ -443,7 +473,8 @@ class TestWorkspace:
         # at m=16 a fresh grid array is mapped anew from the operating system
         # on every call; the grid work and the 3-D transform products live in
         # the domain's buffers, so a step allocates only its modal
-        # temporaries (0.75 of a grid at m=16) and a report less than one grid
+        # temporaries (0.75 of a grid at m=16), a report less than one grid,
+        # and source_projection only its modal result (0.13 of a grid)
         dom = DomainSpec(3, np.pi, 16)
         params = ModelParams(gamma, 3)
         # the coefficients are built outside the traced window, as integrate
@@ -453,7 +484,8 @@ class TestWorkspace:
         f = step(dom, a, b, None, coeffs, params)[2]
         u, ut = ModalField(dom, a), ModalField(dom, b)
         calls = ((lambda: step(dom, a, b, f, coeffs, params), 1.1),
-                 (lambda: energy(u, ut, params), 0.8))
+                 (lambda: energy(u, ut, params), 0.8),
+                 (lambda: source_projection(dom, a, params.gamma), 0.2))
         for call, grids in calls:
             call()
             tracemalloc.start()
@@ -530,9 +562,6 @@ class TestWorkspace:
 
         def fresh():
             return DomainSpec(dim, np.pi, 4)
-
-        def same_bits(x, y):
-            return x is y or np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
         f_fresh = f_stale = None
         for _ in range(2):

@@ -12,14 +12,12 @@ from logwave import well
 from logwave.domain import (
     DomainSpec,
     ModalField,
-    analyze,
     coeff_grad_norm_sq,
     l2_norm_sq,
     random_band_limited,
-    synthesize,
 )
-from logwave.functionals import ModelParams, energy, source_eval
-from logwave.solver import BLOWUP, SolverConfig, integrate
+from logwave.functionals import ModelParams, energy
+from logwave.solver import BLOWUP, SolverConfig, integrate, source_projection
 from logwave.well import (
     DegenerateFieldError,
     FiberMoments,
@@ -89,12 +87,12 @@ def descend_to_ground_state(dom: DomainSpec, params: ModelParams,
     """The band's ground state and its J, by projected Sobolev-gradient descent.
 
     From the Nehari projection of the first eigenmode, step
-    a <- P_N(a - tau (a - F/lambda)), with F the modal projection of the
-    source at a (so a - F/lambda is the H^1_0 gradient of J) and P_N the
-    closed-form Nehari projection.  Each step's tau starts at 0.5 and halves
-    while J rises, down to a floor: near convergence J moves by roundoff
-    only, and halving would never end.  Stops at a relative H^1 residual
-    of 1e-9.
+    a <- P_N(a - tau (a - F/lambda)), with F = ``source_projection`` at a,
+    the modal projection of the source (so a - F/lambda is the H^1_0
+    gradient of J), and P_N the closed-form Nehari projection.  Each step's
+    tau starts at 0.5 and halves while J rises, down to a floor: near
+    convergence J moves by roundoff only, and halving would never end.
+    Stops at a relative H^1 residual of 1e-9.
     """
     def project(coeffs):
         lam, j = project_to_nehari(ModalField(dom, coeffs), params)
@@ -102,7 +100,7 @@ def descend_to_ground_state(dom: DomainSpec, params: ModelParams,
 
     a, J = project(ModalField.eigenmode(dom, (1,) * dom.dim).coeffs)
     for _ in range(max_iter):
-        s = a - analyze(dom, source_eval(synthesize(dom, a), params.gamma)) / dom.eigenvalues
+        s = a - source_projection(dom, a, params.gamma) / dom.eigenvalues
         if coeff_grad_norm_sq(dom, s) <= 1e-18 * coeff_grad_norm_sq(dom, a):
             return ModalField(dom, a), J
         tau = 0.5
