@@ -321,7 +321,7 @@ class DependenceReport:
     epsilons: tuple[float, ...]
     D: tuple[tuple[float, ...], ...]           # D_eps(t) per epsilon
     D_over_eps_sq: tuple[tuple[float, ...], ...]
-    growth_rate: float                          # slope of ln D fit, largest eps
+    growth_rate: float                          # slope of ln D fit, largest |eps|
     growth_r_squared: float
     status: str
 
@@ -339,7 +339,9 @@ def continuous_dependence(
     The perturbation direction is one random band-limited field normalized
     to unit gradient norm, scaled by each epsilon and added TO u0.  With
     epsilon = 0 the perturbed run reproduces the base run exactly (the
-    integrator is a deterministic function of its inputs).
+    integrator is a deterministic function of its inputs).  The growth rate
+    is fitted on the row of the largest |epsilon|, whatever the order of
+    ``epsilons``.
     """
     if not epsilons:
         raise ValueError("epsilons must hold at least one epsilon")
@@ -364,11 +366,13 @@ def continuous_dependence(
 
     rate = r2 = float("nan")
     if status == COMPLETED and d_rows:
-        d0 = np.array(d_rows[0])
+        # the row of the largest |epsilon|, the first such row on a tie
+        largest = max(range(len(d_rows)), key=lambda i: abs(epsilons[i]))
+        fitted = np.array(d_rows[largest])
         tt = np.array(times)
-        mask = (d0 > 0) & (tt > 0)
+        mask = (fitted > 0) & (tt > 0)
         if mask.sum() >= 3:
-            rate, _, r2 = _loglinear_fit(tt[mask], d0[mask])
+            rate, _, r2 = _loglinear_fit(tt[mask], fitted[mask])
     ratio_rows = tuple(tuple(d / eps ** 2 if eps else 0.0 for d in row)
                        for eps, row in zip(epsilons, d_rows))
     return DependenceReport(times, tuple(epsilons), tuple(d_rows), ratio_rows,

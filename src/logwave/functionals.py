@@ -53,7 +53,9 @@ class ModelParams:
     """Exponent and dimension of the logarithmic source.
 
     The exponent must lie in the open window ``gamma_window(dim)``, which
-    also rules out NaN and infinities.  ``source_enabled=False`` switches
+    also rules out NaN and infinities, so ``dim`` must be the dimension of
+    every field the model is applied to: ``energy``, ``source_dual_norm``
+    and ``well.fiber_moments`` check it.  ``source_enabled=False`` switches
     the source off entirely, turning the model into the linear strongly
     damped wave equation (the log terms of the energy vanish with it).
     """
@@ -66,6 +68,12 @@ class ModelParams:
         lo, hi = gamma_window(self.dim)
         if not lo < self.gamma < hi:
             raise ValueError(f"gamma={self.gamma} outside ({lo:g}, {hi:g}) for dim={self.dim}")
+
+    def check_dim(self, dim: int):
+        """Raise unless ``dim``, a field's dimension, is the model's own."""
+        if dim != self.dim:
+            raise ValueError(f"a field of dim={dim} under a model of dim={self.dim}: "
+                             f"gamma={self.gamma} was checked for dim={self.dim} only")
 
     @property
     def rho(self) -> float | None:
@@ -196,6 +204,7 @@ def energy(u: ModalField, ut: ModalField, params: ModelParams) -> EnergyReport:
     """Evaluate the full energy report of a state (ledger fields left zero)."""
     if u.domain != ut.domain:
         raise ValueError("u and u_t live on different domains")
+    params.check_dim(u.domain.dim)
     _require_finite(u, "u")
     _require_finite(ut, "u_t")
     kinetic = 0.5 * l2_norm_sq(ut)
@@ -253,6 +262,7 @@ def log_bound_large(s, mu: float):
 
 def source_dual_norm(u: ModalField, params: ModelParams) -> float:
     """||f(u)||_{g/(g-1)} with f the log source, by grid quadrature."""
+    params.check_dim(u.domain.dim)
     _require_finite(u, "u")
     g = params.gamma
     q = g / (g - 1.0)

@@ -101,6 +101,7 @@ class StableSetVerdict:
 
 def fiber_moments(u: ModalField, params: ModelParams) -> FiberMoments:
     """The moments (A, B, G) of u, computed in the scratch of u's domain."""
+    params.check_dim(u.domain.dim)
     G, B = field_log_moments(u, params.gamma)
     return FiberMoments(A=grad_norm_sq(u), B=B, G=G)
 

@@ -317,6 +317,16 @@ class TestContinuousDependence:
         # perturbation has unit gradient norm: D(0) = eps^2
         assert report.D[0][0] == pytest.approx(1e-6, rel=1e-10)
 
+    def test_growth_rate_fits_the_largest_epsilon_in_any_order(self, setup):
+        # the rows of one epsilon do not depend on the others, so the fit on
+        # the row of the largest |epsilon| gives one rate for every order
+        u0, u1, _ = setup
+        cfg = SolverConfig(dt=1e-3, t_end=0.2, report_every=10)
+        rates = [continuous_dependence(u0, u1, cfg, PARAMS, epsilons=order, seed=4).growth_rate
+                 for order in [(0.0, 1e-3), (1e-3, 0.0), (1e-4, 1e-3), (1e-3, 1e-4)]]
+        assert math.isfinite(rates[0])
+        assert [r.hex() for r in rates] == [rates[0].hex()] * 4
+
     def test_each_perturbed_run_is_freed_before_the_next(self, setup, monkeypatch):
         u0, u1, _ = setup
         results, alive = [], []

@@ -21,7 +21,8 @@ from logwave.functionals import (
     square,
     uniform_bound_constant,
 )
-from logwave.well import FiberMoments, fiber_J
+from logwave.solver import SolverConfig, integrate
+from logwave.well import FiberMoments, estimate_depth, fiber_J, stable_set_check
 
 from test_domain import sine_sum_synthesis
 
@@ -82,6 +83,19 @@ class TestModelParams:
     def test_low_dim_outside_the_window_raises_naming_it(self, gamma, dim):
         with pytest.raises(ValueError, match=rf"outside \(2, inf\) for dim={dim}"):
             ModelParams(gamma, dim)
+
+    # gamma = 7 passes the 1-D window, not the 3-D one, so a 1-D model must
+    # not reach a 3-D field through any path that evaluates the source
+    @pytest.mark.parametrize("call", [
+        lambda u, p: integrate(u, ModalField.zeros(u.domain), SolverConfig(t_end=0.01), p),
+        lambda u, p: stable_set_check(u, ModalField.zeros(u.domain), 1.0, 1.0, p),
+        lambda u, p: estimate_depth([u], p),
+        source_dual_norm,
+    ], ids=["integrate", "stable_set_check", "estimate_depth", "source_dual_norm"])
+    def test_field_of_another_dim_raises_naming_both(self, call):
+        u = ModalField.eigenmode(DomainSpec(3, np.pi, 4), (1, 1, 1), 0.05)
+        with pytest.raises(ValueError, match=r"a field of dim=3 under a model of dim=1"):
+            call(u, ModelParams(7.0, 1))
 
 
 class TestSourceEval:

@@ -3,13 +3,16 @@
 Mutation testing (R. A. DeMillo, R. J. Lipton and F. G. Sayward, "Hints on
 test data selection", IEEE Computer 11(4), 1978): each test patches
 ``solver.source_projection``, the step's F(a), inside the test, runs one
-trajectory in the nonlinear regime and pins which rows of the check table
-FAIL.  The data sit in the potential well but far from its bottom,
-u0 = 0.6 lambda* phi with phi the (1,1,1) eigenmode and lambda* its Nehari
-scale (E0 = 19.07 against d_hat = 35.14), where the source carries enough of
-the energy budget for a 2 % fault to show.  The verdict is taken at
-theta = 1, so the invariance rows run too.
+trajectory and pins which mandatory rows of the check table FAIL.  phi is
+the (1,1,1) eigenmode and lambda* its Nehari scale.  Most data sit in the
+potential well but far from its bottom, u0 = s lambda* phi with s = 0.6
+(at gamma = 4, E0 = 19.07 against d_hat = 35.14) or 0.9, where the source
+carries enough of the energy budget for a 2 % fault to show; the reference
+amplitude u0 = 0.05 phi of the acceptance tests shows where it does not.
+The verdict is taken at theta = 1, so the invariance rows run too.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -21,31 +24,35 @@ from logwave.functionals import ModelParams
 from logwave.solver import COMPLETED, SolverConfig, integrate
 from logwave.well import estimate_depth, project_to_nehari, stable_set_check
 
-PARAMS = ModelParams(4.0, 3)
 CFG = SolverConfig(dt=1e-3, t_end=5.0)
+# the scale that stands for the acceptance tests' reference data, u0 = 0.05 phi
+REFERENCE = None
 
 
-@pytest.fixture(scope="module")
-def well_data():
+@functools.cache
+def well_data(scale, gamma=4.0):
+    """(u0, u1, verdict, params) for u0 = scale lambda* phi, or 0.05 phi when
+    scale is REFERENCE, with the verdict at theta = 1."""
+    params = ModelParams(gamma, 3)
     dom = DomainSpec(3, np.pi, 8)
     phi = ModalField.eigenmode(dom, (1, 1, 1))
-    lam, _ = project_to_nehari(phi, PARAMS)
-    u0, u1 = ModalField(dom, 0.6 * lam * phi.coeffs), ModalField.zeros(dom)
-    verdict = stable_set_check(u0, u1, estimate_depth([phi], PARAMS).d_hat, 1.0, PARAMS)
+    amplitude = 0.05 if scale is REFERENCE else scale * project_to_nehari(phi, params)[0]
+    u0, u1 = ModalField(dom, amplitude * phi.coeffs), ModalField.zeros(dom)
+    verdict = stable_set_check(u0, u1, estimate_depth([phi], params).d_hat, 1.0, params)
     assert verdict.status == "IN"
-    return u0, u1, verdict
+    return u0, u1, verdict, params
 
 
-def checks_with_source_times(factor, well_data, monkeypatch):
+def checks_with_source_times(factor, data, monkeypatch):
     """The mandatory rows, name -> (status, measured), with F(a) scaled by factor."""
-    u0, u1, verdict = well_data
+    u0, u1, verdict, params = data
     if factor != 1.0:
         true_source = solver.source_projection
         monkeypatch.setattr(solver, "source_projection",
                             lambda domain, a, gamma: factor * true_source(domain, a, gamma))
-    result = integrate(u0, u1, CFG, PARAMS)
+    result = integrate(u0, u1, CFG, params)
     assert result.status == COMPLETED
-    checks, _ = run_checks(result.reports, u0.domain, PARAMS, verdict)
+    checks, _ = run_checks(result.reports, u0.domain, params, verdict)
     return {c["name"]: (c["status"], c["measured"]) for c in checks if c["mandatory"]}
 
 
@@ -53,23 +60,68 @@ def failing(rows):
     return {name for name, (status, _) in rows.items() if status == "FAIL"}
 
 
-def test_true_source_passes_every_mandatory_row(well_data, monkeypatch):
-    rows = checks_with_source_times(1.0, well_data, monkeypatch)
+def test_true_source_passes_every_mandatory_row(monkeypatch):
+    rows = checks_with_source_times(1.0, well_data(0.6), monkeypatch)
     assert {status for status, _ in rows.values()} == {"PASS"}
     assert rows["energy_identity"][1] == pytest.approx(7.77e-7, rel=0.01)
 
 
-def test_two_percent_source_fails_the_ledger_and_the_virial(well_data, monkeypatch):
+def test_two_percent_source_fails_the_ledger_and_the_virial(monkeypatch):
     # the ledger reads 4.50e-4 against its 1e-4, the virial 1.48e-3 against
     # its 1e-3; the other mandatory rows PASS
-    rows = checks_with_source_times(1.02, well_data, monkeypatch)
+    rows = checks_with_source_times(1.02, well_data(0.6), monkeypatch)
     assert failing(rows) == {"energy_identity", "virial_identity"}
     assert rows["energy_identity"][1] == pytest.approx(4.50e-4, rel=0.01)
     assert rows["virial_identity"][1] == pytest.approx(1.48e-3, rel=0.01)
 
 
-def test_no_source_fails_the_ledger_dissipation_and_virial(well_data, monkeypatch):
+def test_no_source_fails_the_ledger_dissipation_and_virial(monkeypatch):
     # the energy still holds the source's terms, so dropping F breaks every
     # row that ties E to the flow
-    rows = checks_with_source_times(0.0, well_data, monkeypatch)
+    rows = checks_with_source_times(0.0, well_data(0.6), monkeypatch)
     assert failing(rows) == {"energy_identity", "monotone_dissipation", "virial_identity"}
+
+
+def test_reversed_source_raises_the_energy(monkeypatch):
+    # reversed far from the well's bottom, the source pumps energy in: E
+    # rises by 3.87e-4 of E(0), and the ledger and the virial read 4.98e-2
+    # and 1.17e-1
+    rows = checks_with_source_times(-1.0, well_data(0.6), monkeypatch)
+    assert failing(rows) == {"energy_identity", "monotone_dissipation", "virial_identity"}
+    assert rows["monotone_dissipation"][1] == pytest.approx(3.87e-4, rel=0.01)
+    assert rows["energy_identity"][1] == pytest.approx(4.98e-2, rel=0.01)
+    assert rows["virial_identity"][1] == pytest.approx(1.17e-1, rel=0.01)
+
+
+# (scale, gamma, factor, rows that FAIL, energy_identity, virial_identity)
+FAULTS = [
+    # the check table's blind spot: at the reference amplitude the source
+    # carries so little of the energy that a 2 % error moves the ledger and
+    # the virial only to 1.33e-5 and 3.73e-5, well inside their 1e-4 and
+    # 1e-3, so every row PASSes.
+    # tests/test_reference.py::test_reference_catches_a_two_percent_source
+    # catches this fault, by the solution's error against a Radau reference.
+    (REFERENCE, 4.0, 1.02, set(), 1.33e-5, 3.73e-5),
+    # a dropped or reversed source is large enough to show at the reference
+    # amplitude, in the ledger and the virial only
+    (REFERENCE, 4.0, 0.0, {"energy_identity", "virial_identity"}, 6.27e-4, 1.08e-3),
+    (REFERENCE, 4.0, -1.0, {"energy_identity", "virial_identity"}, 1.26e-3, 2.16e-3),
+    # at gamma = 5.5 the virial misses a 2 % source: 2.18e-4 against its 1e-3
+    (0.6, 5.5, 1.0, set(), 7.83e-7, 2.19e-5),
+    (0.6, 5.5, 1.02, {"energy_identity"}, 2.18e-4, 2.18e-4),
+    # nearer the Nehari manifold, the ledger reads the 2 % fault 13 times
+    # larger than at s = 0.6
+    (0.9, 4.0, 1.0, set(), 8.55e-7, 1.04e-5),
+    (0.9, 4.0, 1.02, {"energy_identity", "virial_identity"}, 5.71e-3, 5.72e-2),
+]
+
+
+@pytest.mark.parametrize("scale,gamma,factor,fails,ledger,virial", FAULTS, ids=[
+    "reference-two-percent", "reference-none", "reference-reversed", "gamma5.5-true",
+    "gamma5.5-two-percent", "0.9-true", "0.9-two-percent"])
+def test_source_fault_fails_exactly_its_rows(monkeypatch, scale, gamma, factor, fails,
+                                             ledger, virial):
+    rows = checks_with_source_times(factor, well_data(scale, gamma), monkeypatch)
+    assert failing(rows) == fails
+    assert rows["energy_identity"][1] == pytest.approx(ledger, rel=0.01)
+    assert rows["virial_identity"][1] == pytest.approx(virial, rel=0.01)
