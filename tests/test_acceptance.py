@@ -4,15 +4,22 @@ Each test prints one PASS/FAIL line (visible with pytest -s) and asserts
 the same condition.  The expensive trajectories are shared module-scoped
 fixtures; the reference configuration is the box (0, pi)^3 at 8 modes per
 axis, gamma = 4, first-eigenfunction data of amplitude 0.05, dt = 1e-3,
-t_end = 20.
+t_end = 20.  Its one integration is the first 20 000 steps of ``run_t40``,
+which the README's example and well-depth table are checked against too.
 """
 
+import json
 import math
+import re
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import logwave
+from logwave import cli
 from logwave.analysis import (
     CHECKS,
     ENERGY_FLOOR,
@@ -23,6 +30,7 @@ from logwave.analysis import (
     convergence_study,
     fit_decay,
 )
+from logwave.cli import EXIT_OK, main, parse_config
 from logwave.domain import DomainSpec, ModalField, random_band_limited
 from logwave.functionals import (
     ModelParams,
@@ -37,6 +45,7 @@ DOMAIN = DomainSpec(3, math.pi, 8, 2)
 PARAMS = ModelParams(4.0, 3)
 ALPHA = 0.05
 SAFETY = 0.5
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
 _timings: dict[str, float] = {}
 
@@ -52,11 +61,6 @@ def _timed_run(tag, dt, t_end, params=PARAMS, report_every=None):
     _timings[tag] = time.perf_counter() - start
     assert result.status == COMPLETED
     return result
-
-
-@pytest.fixture(scope="module")
-def run_base():
-    return _timed_run("base", 1e-3, 20.0)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +81,17 @@ def run_gamma55():
 @pytest.fixture(scope="module")
 def run_t40():
     return _timed_run("t40", 1e-3, 40.0)
+
+
+@pytest.fixture(scope="module")
+def run_base(run_t40):
+    """The reference run to t_end 20: the first 2001 reports of run_t40, which
+    has the same dt, data and report_every, so they are the same reports bit
+    for bit.  It has no final state, so that nothing reads t = 40's state as
+    t = 20's."""
+    reports = run_t40.reports[:2001]
+    assert len(reports) == 2001 and reports[-1].t == 20.0
+    return SimpleNamespace(reports=reports, status=COMPLETED, t_max=None)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +124,8 @@ def test_01_energy_law(run_base, run_half, run_quarter):
                           ("quarter", run_quarter))}
     ratio1 = res["base"] / res["half"]
     ratio2 = res["half"] / res["quarter"]
-    runtime = _timings["base"] + _timings["half"] + _timings["quarter"]
+    # run_t40 holds the base trajectory, so its whole time counts
+    runtime = _timings["t40"] + _timings["half"] + _timings["quarter"]
     ok = (res["base"] <= 1e-4 and ratio1 >= 3.5 and ratio2 >= 3.5
           and runtime <= 120.0)
     assert report_line(
@@ -269,3 +285,62 @@ def test_12_sharp_poincare_margin(run_base):
     assert worst is not None
     assert report_line(12, "sharp poincare margin", worst <= 1 + 1e-10,
                        f"max margin={worst:.12f} (<= 1+1e-10)")
+
+
+# The README's quoted results, checked against the reference run above: the
+# example integrates nothing of its own, because integrate is deterministic
+# and the stub in the first test pins every input it is given.
+
+def test_readme_example_is_the_reference_run(run_base, tmp_path, monkeypatch):
+    config = re.search(r"```json\n(.*?)```", README, re.S).group(1)
+    cfg = parse_config(config)
+    assert (cfg.domain, cfg.model, cfg.solver) == (DOMAIN, PARAMS, SolverConfig())
+    assert (cfg.initial.type, cfg.initial.mode, cfg.initial.amplitude) == (
+        "eigenmode", (1, 1, 1), ALPHA)
+
+    u0 = ModalField.eigenmode(DOMAIN, (1, 1, 1), ALPHA)
+    calls = []
+
+    def reference_integrate(v0, v1, solver_cfg, params):
+        """run_base, for exactly the reference run's inputs."""
+        assert (v0.domain, v1.domain) == (DOMAIN, DOMAIN)
+        assert v0.coeffs.tobytes() == u0.coeffs.tobytes()
+        assert not v1.coeffs.any()
+        assert (solver_cfg, params) == (SolverConfig(dt=1e-3, t_end=20.0, report_every=10),
+                                        PARAMS)
+        calls.append(solver_cfg)
+        return run_base
+
+    # logwave run on the README's config
+    monkeypatch.setattr(cli, "integrate", reference_integrate)
+    path, out = tmp_path / "readme.json", tmp_path / "out"
+    path.write_text(config)
+    assert main(["run", "--config", str(path), "--output-dir", str(out), "--quiet"]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert {c["status"] for c in summary["checks"] if c["mandatory"]} == {"PASS"}
+
+    # the library example, as the README prints it
+    monkeypatch.setattr(logwave, "integrate", reference_integrate)
+    scope = {}
+    exec(re.search(r"## Library\n\n```python\n(.*?)```", README, re.S).group(1), scope)
+    fit = scope["fit"]
+    assert len(calls) == 2
+    decay_fit = summary["decay_fit"]
+    assert (fit.C2, fit.r_squared) == (decay_fit["C2"], decay_fit["r_squared"])
+    assert fit.r_squared >= 0.99
+
+    # the digits the README quotes, to as many places as it gives
+    quoted = re.search(r"It prints C2 ≈ ([\d.]+) and R² ≈ ([\d.]+):", README).groups()
+    assert tuple(f"{x:.{len(q.split('.')[1])}f}"
+                 for x, q in zip((fit.C2, fit.r_squared), quoted)) == quoted
+
+
+def test_readme_well_depth_table():
+    # `logwave welldepth` on (0, pi)^3 at m=8, 32 trials, seed 0: the code's d_hat
+    # at each gamma of the table, rounded as the table gives it
+    header, values = re.search(r"\| `γ` \|(.*)\|\n\|[-|]*\n\| `d̂` \|(.*)\|", README).groups()
+    gammas = [float(g) for g in header.split("|")]
+    quoted = [d.strip() for d in values.split("|")]
+    trials = list(default_trial_family(DOMAIN, 32, 0)[0])
+    got = [f"{estimate_depth(trials, ModelParams(g, 3)).d_hat:.2f}" for g in gammas]
+    assert len(gammas) == 9 and got == quoted

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -541,13 +542,22 @@ class TestCmdRun:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["d_hat"] == pytest.approx(63.72675573486259, rel=1e-12)
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = fast_run_config(tmp_path)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", cfg, "--output-dir", str(a), "--quiet"]) == EXIT_OK
-        assert main(["run", "--config", cfg, "--output-dir", str(b), "--quiet"]) == EXIT_OK
-        assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
-        assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+    # verify re-checks the CSV that run wrote into its directory; both runs
+    # write into one fresh directory, since verify's summary names its CSV
+    @pytest.mark.parametrize("command", ["run", "welldepth", "converge", "depend", "verify"])
+    def test_byte_identical_reruns(self, tmp_path, command):
+        cfg = fast_run_config(tmp_path, solver={"t_end": 0.1}, study={"m_list": [2, 4]})
+        out = tmp_path / "out"
+        written = []
+        for _ in range(2):
+            shutil.rmtree(out, ignore_errors=True)
+            if command == "verify":
+                assert main(["run", "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_OK
+            assert main([command, "--config", cfg, "--output-dir", str(out), "--quiet"]) == EXIT_OK
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(written[0]) == (["summary.json", "trajectory.csv"]
+                                      if command in ("run", "verify") else ["summary.json"])
+        assert written[0] == written[1]
 
     def test_blowup_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "blow.json", {

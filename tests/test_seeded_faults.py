@@ -1,9 +1,12 @@
-"""Seeded faults in the source, and the check rows that catch them.
+"""Seeded faults in the source, the damping and the quadrature, and the
+check rows that catch them.
 
 Mutation testing (R. A. DeMillo, R. J. Lipton and F. G. Sayward, "Hints on
-test data selection", IEEE Computer 11(4), 1978): each test patches
-``solver.source_projection``, the step's F(a), inside the test, runs one
-trajectory and pins which mandatory rows of the check table FAIL.  phi is
+test data selection", IEEE Computer 11(4), 1978): each test patches one
+thing inside the test (``solver.source_projection``, the step's F(a); the
+damping in ``solver._trapezoid``'s coefficients; or the domain's quadrature
+weight), runs one trajectory and pins which mandatory rows of the check
+table FAIL.  phi is
 the (1,1,1) eigenmode and lambda* its Nehari scale.  Most data sit in the
 potential well but far from its bottom, u0 = s lambda* phi with s = 0.6
 (at gamma = 4, E0 = 19.07 against d_hat = 35.14) or 0.9, where the source
@@ -18,15 +21,15 @@ import numpy as np
 import pytest
 
 from logwave import solver
-from logwave.analysis import run_checks
+from logwave.analysis import CHECKS, run_checks
 from logwave.domain import DomainSpec, ModalField
 from logwave.functionals import ModelParams
 from logwave.solver import COMPLETED, SolverConfig, integrate
 from logwave.well import estimate_depth, project_to_nehari, stable_set_check
 
-CFG = SolverConfig(dt=1e-3, t_end=5.0)
 # the scale that stands for the acceptance tests' reference data, u0 = 0.05 phi
 REFERENCE = None
+MANDATORY = {c.name for c in CHECKS if c.mandatory}
 
 
 @functools.cache
@@ -43,33 +46,45 @@ def well_data(scale, gamma=4.0):
     return u0, u1, verdict, params
 
 
-def checks_with_source_times(factor, data, monkeypatch):
-    """The mandatory rows, name -> (status, measured), with F(a) scaled by factor."""
-    u0, u1, verdict, params = data
-    if factor != 1.0:
-        true_source = solver.source_projection
-        monkeypatch.setattr(solver, "source_projection",
-                            lambda domain, a, gamma: factor * true_source(domain, a, gamma))
-    result = integrate(u0, u1, CFG, params)
+def checked_rows(scale, gamma, t_end=5.0):
+    """Every row of the check table, name -> (status, measured), on the
+    trajectory from well_data(scale, gamma) at dt 1e-3 to t_end, under
+    whatever fault the calling test has patched in."""
+    u0, u1, verdict, params = well_data(scale, gamma)
+    result = integrate(u0, u1, SolverConfig(dt=1e-3, t_end=t_end), params)
     assert result.status == COMPLETED
     checks, _ = run_checks(result.reports, u0.domain, params, verdict)
-    return {c["name"]: (c["status"], c["measured"]) for c in checks if c["mandatory"]}
+    return {c["name"]: (c["status"], c["measured"]) for c in checks}
+
+
+# the true flow, shared by the tests that patch nothing
+true_rows = functools.cache(checked_rows)
+
+
+def checks_with_source_times(factor, scale, gamma, monkeypatch):
+    """The rows with F(a) scaled by factor."""
+    if factor == 1.0:
+        return true_rows(scale, gamma)
+    true_source = solver.source_projection
+    monkeypatch.setattr(solver, "source_projection",
+                        lambda domain, a, gamma: factor * true_source(domain, a, gamma))
+    return checked_rows(scale, gamma)
 
 
 def failing(rows):
-    return {name for name, (status, _) in rows.items() if status == "FAIL"}
+    return {name for name in MANDATORY if rows[name][0] == "FAIL"}
 
 
 def test_true_source_passes_every_mandatory_row(monkeypatch):
-    rows = checks_with_source_times(1.0, well_data(0.6), monkeypatch)
-    assert {status for status, _ in rows.values()} == {"PASS"}
+    rows = checks_with_source_times(1.0, 0.6, 4.0, monkeypatch)
+    assert {rows[name][0] for name in MANDATORY} == {"PASS"}
     assert rows["energy_identity"][1] == pytest.approx(7.77e-7, rel=0.01)
 
 
 def test_two_percent_source_fails_the_ledger_and_the_virial(monkeypatch):
     # the ledger reads 4.50e-4 against its 1e-4, the virial 1.48e-3 against
     # its 1e-3; the other mandatory rows PASS
-    rows = checks_with_source_times(1.02, well_data(0.6), monkeypatch)
+    rows = checks_with_source_times(1.02, 0.6, 4.0, monkeypatch)
     assert failing(rows) == {"energy_identity", "virial_identity"}
     assert rows["energy_identity"][1] == pytest.approx(4.50e-4, rel=0.01)
     assert rows["virial_identity"][1] == pytest.approx(1.48e-3, rel=0.01)
@@ -78,7 +93,7 @@ def test_two_percent_source_fails_the_ledger_and_the_virial(monkeypatch):
 def test_no_source_fails_the_ledger_dissipation_and_virial(monkeypatch):
     # the energy still holds the source's terms, so dropping F breaks every
     # row that ties E to the flow
-    rows = checks_with_source_times(0.0, well_data(0.6), monkeypatch)
+    rows = checks_with_source_times(0.0, 0.6, 4.0, monkeypatch)
     assert failing(rows) == {"energy_identity", "monotone_dissipation", "virial_identity"}
 
 
@@ -86,7 +101,7 @@ def test_reversed_source_raises_the_energy(monkeypatch):
     # reversed far from the well's bottom, the source pumps energy in: E
     # rises by 3.87e-4 of E(0), and the ledger and the virial read 4.98e-2
     # and 1.17e-1
-    rows = checks_with_source_times(-1.0, well_data(0.6), monkeypatch)
+    rows = checks_with_source_times(-1.0, 0.6, 4.0, monkeypatch)
     assert failing(rows) == {"energy_identity", "monotone_dissipation", "virial_identity"}
     assert rows["monotone_dissipation"][1] == pytest.approx(3.87e-4, rel=0.01)
     assert rows["energy_identity"][1] == pytest.approx(4.98e-2, rel=0.01)
@@ -121,7 +136,73 @@ FAULTS = [
     "gamma5.5-two-percent", "0.9-true", "0.9-two-percent"])
 def test_source_fault_fails_exactly_its_rows(monkeypatch, scale, gamma, factor, fails,
                                              ledger, virial):
-    rows = checks_with_source_times(factor, well_data(scale, gamma), monkeypatch)
+    rows = checks_with_source_times(factor, scale, gamma, monkeypatch)
+    assert failing(rows) == fails
+    assert rows["energy_identity"][1] == pytest.approx(ledger, rel=0.01)
+    assert rows["virial_identity"][1] == pytest.approx(virial, rel=0.01)
+
+
+def test_decay_slows_nearer_the_nehari_manifold():
+    # C2 of the true flow to t_end 5: 3.734 at s = 0.6 and 1.488 at s = 0.9,
+    # against 3.778 for the reference data 0.05 phi (whose fit to t_end 20 is
+    # the README's 3.010)
+    c2 = [true_rows(scale, 4.0)["decay_rate_positive"][1] for scale in (0.6, 0.9)]
+    assert c2 == pytest.approx([3.734, 1.488], rel=1e-3)
+
+
+def damped_trapezoid(c):
+    """``solver._trapezoid`` with the damping -lambda u_t scaled by c: the
+    step's half = dt lambda / 2 becomes c half wherever it comes from the
+    damping, in det, aa and bb, and stays in ba, which comes from -lambda u."""
+    def coefficients(domain, dt):
+        half = 0.5 * dt * domain.eigenvalues
+        quarter = 0.5 * dt * half
+        det = 1.0 + c * half + quarter
+        ab = bf = dt / det
+        return (
+            (1.0 + c * half - quarter) / det, ab, 0.5 * dt * dt / det,
+            -2.0 * half / det, (1.0 - c * half - quarter) / det, bf,
+        )
+    return coefficients
+
+
+def test_damping_copy_is_the_trapezoid_at_one():
+    dom = DomainSpec(3, np.pi, 8)
+    copy, true = damped_trapezoid(1.0)(dom, 1e-3), solver._trapezoid(dom, 1e-3)
+    assert [x.tobytes() for x in copy] == [x.tobytes() for x in true]
+
+
+# (fault, scale, gamma, rows that FAIL, energy_identity, virial_identity), each
+# fault x1.02 and each run to t_end 1, not 5, to keep the module's time: at
+# t_end 5 every row FAILs the same set, while at t_end 0.5 the gamma 5.5
+# quadrature fault FAILs none
+OTHER_FAULTS = [
+    # the damping fault shows even at the reference amplitude, where a 2 %
+    # source does not (1.96e-2 and 2.00e-2 at t_end 5)
+    ("damping", REFERENCE, 4.0, {"energy_identity", "virial_identity"}, 1.353e-2, 1.603e-2),
+    # the quadrature weight moves only the energy's log moments, not the flow
+    # (analyze carries its own weights), so at the reference amplitude, where
+    # the source carries little of the energy, it is a blind spot: 1.18e-5
+    # and 3.44e-5 at t_end 5
+    ("quadrature", REFERENCE, 4.0, set(), 1.134e-5, 2.826e-5),
+    # 4.52e-4 and 1.51e-3 at t_end 5
+    ("quadrature", 0.6, 4.0, {"energy_identity", "virial_identity"}, 4.517e-4, 1.511e-3),
+    # at gamma 5.5 the virial misses it, as it misses a 2 % source: 2.17e-4
+    # and 2.59e-4 at t_end 5
+    ("quadrature", 0.6, 5.5, {"energy_identity"}, 1.963e-4, 2.397e-4),
+]
+
+
+@pytest.mark.parametrize("fault,scale,gamma,fails,ledger,virial", OTHER_FAULTS, ids=[
+    "damping-reference", "quadrature-reference", "quadrature-0.6", "quadrature-gamma5.5"])
+def test_damping_and_quadrature_faults_fail_exactly_their_rows(monkeypatch, fault, scale,
+                                                               gamma, fails, ledger, virial):
+    if fault == "damping":
+        monkeypatch.setattr(solver, "_trapezoid", damped_trapezoid(1.02))
+    else:
+        domain = well_data(scale, gamma)[0].domain
+        monkeypatch.setitem(domain.__dict__, "quad_weight", 1.02 * domain.quad_weight)
+    rows = checked_rows(scale, gamma, t_end=1.0)
     assert failing(rows) == fails
     assert rows["energy_identity"][1] == pytest.approx(ledger, rel=0.01)
     assert rows["virial_identity"][1] == pytest.approx(virial, rel=0.01)
