@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import DomainSpec, ModalField, grad_norm_sq, l2_norm_sq, poincare_constant, random_band_limited
+from .domain import (DomainSpec, ModalField, coeff_grad_norm_sq, coeff_l2_norm_sq, l2_norm_sq,
+                     poincare_constant, random_band_limited)
 from .functionals import EnergyReport, ModelParams, square, uniform_bound_constant
 from .solver import BLOWUP, COMPLETED, SolverConfig, integrate
 from .well import IN, StableSetVerdict
@@ -351,15 +352,18 @@ def continuous_dependence(
     base = integrate(u0, u1, cfg, params, store_states=True)
     status, times, d_rows = base.status, (), []
     if status == COMPLETED:
-        direction = random_band_limited(u0.domain, np.random.default_rng(seed))
-        direction = direction.scaled(1.0 / math.sqrt(grad_norm_sq(direction)))
+        dom = u0.domain
+        direction = random_band_limited(dom, np.random.default_rng(seed)).coeffs
+        direction = (1.0 / math.sqrt(coeff_grad_norm_sq(dom, direction))) * direction
         times = tuple(r.t for r in base.reports)
         for eps in epsilons:
-            pert = integrate(u0 + direction.scaled(eps), u1, cfg, params, store_states=True)
+            pert = integrate(ModalField(dom, u0.coeffs + eps * direction), u1, cfg, params,
+                             store_states=True)
             status = pert.status
             if status != COMPLETED:
                 break
-            d_rows.append(tuple(l2_norm_sq(ut_p - ut_b) + grad_norm_sq(u_p - u_b)
+            d_rows.append(tuple(coeff_l2_norm_sq(dom, ut_p.coeffs - ut_b.coeffs)
+                                + coeff_grad_norm_sq(dom, u_p.coeffs - u_b.coeffs)
                                 for (u_b, ut_b), (u_p, ut_p) in zip(base.states, pert.states)))
             # the next run starts with only the base trajectory held
             del pert

@@ -234,22 +234,8 @@ class ModalField:
         c[tuple(ki - 1 for ki in k)] = amplitude
         return cls(domain, c)
 
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.coeffs).all())
-
     def scaled(self, factor: float) -> "ModalField":
         return ModalField(self.domain, factor * self.coeffs)
-
-    def __add__(self, other: "ModalField") -> "ModalField":
-        if other.domain != self.domain:
-            raise ValueError("fields live on different domains")
-        return ModalField(self.domain, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ModalField") -> "ModalField":
-        if other.domain != self.domain:
-            raise ValueError("fields live on different domains")
-        return ModalField(self.domain, self.coeffs - other.coeffs)
 
 
 def synthesize(domain: DomainSpec, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -296,9 +282,14 @@ def grad_norm_sq(f: ModalField) -> float:
     return coeff_grad_norm_sq(f.domain, f.coeffs)
 
 
+def coeff_l2_norm_sq(domain: DomainSpec, coeffs: np.ndarray) -> float:
+    """||u||_2^2 of raw modal coefficients as the exact modal sum (Parseval)."""
+    return float((coeffs ** 2).sum() * domain.mode_norm_sq)
+
+
 def l2_norm_sq(f: ModalField) -> float:
     """||u||_2^2 as the exact modal sum (Parseval)."""
-    return float((f.coeffs ** 2).sum() * f.domain.mode_norm_sq)
+    return coeff_l2_norm_sq(f.domain, f.coeffs)
 
 
 def l2_inner(f: ModalField, g: ModalField) -> float:

@@ -196,7 +196,7 @@ def square(x: float) -> float:
 
 
 def _require_finite(f: ModalField, name: str):
-    if not f.is_finite:
+    if not np.isfinite(f.coeffs).all():
         raise ValueError(f"{name} contains non-finite coefficients")
 
 

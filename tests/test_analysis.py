@@ -47,8 +47,8 @@ def linear_runs():
     # fixed report_every so the report spacing (and with it the time
     # quadrature of the identity) scales together with dt
     dom = DomainSpec(3, np.pi, 4, 2)
-    u0 = (ModalField.eigenmode(dom, (1, 1, 1), 0.4)
-          + ModalField.eigenmode(dom, (2, 1, 1), 0.2))
+    u0 = ModalField(dom, ModalField.eigenmode(dom, (1, 1, 1), 0.4).coeffs
+                    + ModalField.eigenmode(dom, (2, 1, 1), 0.2).coeffs)
     u1 = ModalField.zeros(dom)
     runs = {}
     for dt in (2e-3, 1e-3, 5e-4):
@@ -294,28 +294,29 @@ def setup():
     return u0, u1, cfg
 
 
-class TestContinuousDependence:
-    def test_zero_perturbation_exact_zero(self, setup):
-        u0, u1, cfg = setup
-        report = continuous_dependence(u0, u1, cfg, PARAMS, epsilons=(0.0,), seed=4)
-        assert report.status == COMPLETED
-        assert all(d == 0.0 for d in report.D[0])
+@pytest.fixture(scope="module")
+def study(setup):
+    # one study for the tests that read a fixed epsilon: a row depends only on
+    # its own epsilon, and the base run is integrated once
+    u0, u1, cfg = setup
+    return continuous_dependence(u0, u1, cfg, PARAMS, epsilons=(0.0, 1e-3, 1e-4), seed=4)
 
-    def test_quadratic_scaling(self, setup):
-        u0, u1, cfg = setup
-        report = continuous_dependence(u0, u1, cfg, PARAMS,
-                                       epsilons=(1e-3, 1e-4), seed=4)
-        assert report.status == COMPLETED
+
+class TestContinuousDependence:
+    def test_zero_perturbation_exact_zero(self, study):
+        assert study.status == COMPLETED
+        assert all(d == 0.0 for d in study.D[0])
+
+    def test_quadratic_scaling(self, study):
+        assert study.status == COMPLETED
         # compare D/eps^2 at the final sample
-        r1 = report.D_over_eps_sq[0][-1]
-        r2 = report.D_over_eps_sq[1][-1]
+        r1 = study.D_over_eps_sq[1][-1]
+        r2 = study.D_over_eps_sq[2][-1]
         assert 0.5 < r1 / r2 < 2.0
 
-    def test_initial_norm_matches_epsilon(self, setup):
-        u0, u1, cfg = setup
-        report = continuous_dependence(u0, u1, cfg, PARAMS, epsilons=(1e-3,), seed=4)
+    def test_initial_norm_matches_epsilon(self, study):
         # perturbation has unit gradient norm: D(0) = eps^2
-        assert report.D[0][0] == pytest.approx(1e-6, rel=1e-10)
+        assert study.D[1][0] == pytest.approx(1e-6, rel=1e-10)
 
     def test_growth_rate_fits_the_largest_epsilon_in_any_order(self, setup):
         # the rows of one epsilon do not depend on the others, so the fit on
@@ -374,8 +375,8 @@ class TestConvergenceStudy:
 
     def test_projection_loss_reported(self):
         dom = DomainSpec(3, np.pi, 4, 2)
-        u0 = (ModalField.eigenmode(dom, (1, 1, 1), 0.4)
-              + ModalField.eigenmode(dom, (2, 2, 2), 0.3))
+        u0 = ModalField(dom, ModalField.eigenmode(dom, (1, 1, 1), 0.4).coeffs
+                        + ModalField.eigenmode(dom, (2, 2, 2), 0.3).coeffs)
         u1 = ModalField.zeros(dom)
         cfg = SolverConfig(dt=1e-3, t_end=0.2, report_every=100)
         study = convergence_study(u0, u1, cfg, LINEAR, [1, 2, 4])

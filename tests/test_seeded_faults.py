@@ -1,11 +1,12 @@
-"""Seeded faults in the source, the damping and the quadrature, and the
-check rows that catch them.
+"""Seeded faults in the source, the damping, the quadrature and the kinetic
+energy, and the check rows that catch them.
 
 Mutation testing (R. A. DeMillo, R. J. Lipton and F. G. Sayward, "Hints on
 test data selection", IEEE Computer 11(4), 1978): each test patches one
 thing inside the test (``solver.source_projection``, the step's F(a); the
-damping in ``solver._trapezoid``'s coefficients; or the domain's quadrature
-weight), runs one trajectory and pins which mandatory rows of the check
+damping in ``solver._trapezoid``'s coefficients; the domain's quadrature
+weight; or the L2 norm that ``functionals.energy`` reads for the kinetic
+energy), runs one trajectory and pins which mandatory rows of the check
 table FAIL.  phi is
 the (1,1,1) eigenmode and lambda* its Nehari scale.  Most data sit in the
 potential well but far from its bottom, u0 = s lambda* phi with s = 0.6
@@ -20,7 +21,7 @@ import functools
 import numpy as np
 import pytest
 
-from logwave import solver
+from logwave import functionals, solver
 from logwave.analysis import CHECKS, run_checks
 from logwave.domain import DomainSpec, ModalField
 from logwave.functionals import ModelParams
@@ -57,18 +58,19 @@ def checked_rows(scale, gamma, t_end=5.0):
     return {c["name"]: (c["status"], c["measured"]) for c in checks}
 
 
-# the true flow, shared by the tests that patch nothing
+# the true flow, shared by the tests that patch nothing; call it with t_end
+# given, so that one run has one cache key
 true_rows = functools.cache(checked_rows)
 
 
-def checks_with_source_times(factor, scale, gamma, monkeypatch):
+def checks_with_source_times(factor, scale, gamma, monkeypatch, t_end=5.0):
     """The rows with F(a) scaled by factor."""
     if factor == 1.0:
-        return true_rows(scale, gamma)
+        return true_rows(scale, gamma, t_end)
     true_source = solver.source_projection
     monkeypatch.setattr(solver, "source_projection",
                         lambda domain, a, gamma: factor * true_source(domain, a, gamma))
-    return checked_rows(scale, gamma)
+    return checked_rows(scale, gamma, t_end)
 
 
 def failing(rows):
@@ -106,6 +108,36 @@ def test_reversed_source_raises_the_energy(monkeypatch):
     assert rows["monotone_dissipation"][1] == pytest.approx(3.87e-4, rel=0.01)
     assert rows["energy_identity"][1] == pytest.approx(4.98e-2, rel=0.01)
     assert rows["virial_identity"][1] == pytest.approx(1.17e-1, rel=0.01)
+
+
+def test_reversed_source_near_the_manifold_leaves_the_well(monkeypatch):
+    # at s = 0.9 the reversed source lifts E from E(0) = 33.61 to 39.27, past
+    # the well's depth d_hat = 35.14, so invariance_E_below_threshold FAILs
+    # beside the three rows a reversed source breaks at s = 0.6.  The FAIL set
+    # is the same at t_end 5, where min I has fallen to 7.3e-5 as the field
+    # decays: invariance_I_positive stays PASS.
+    rows = checks_with_source_times(-1.0, 0.9, 4.0, monkeypatch, t_end=1.0)
+    assert failing(rows) == {"energy_identity", "monotone_dissipation", "virial_identity",
+                             "invariance_E_below_threshold"}
+    assert rows["invariance_E_below_threshold"][1] == pytest.approx(39.27, rel=1e-3)
+    assert rows["monotone_dissipation"][1] == pytest.approx(1.08e-2, rel=0.01)
+    assert rows["energy_identity"][1] == pytest.approx(0.592, rel=0.01)
+    assert rows["virial_identity"][1] == pytest.approx(0.874, rel=0.01)
+
+
+def test_kinetic_fault_in_the_report_fails_the_poincare_margin(monkeypatch):
+    # a fault in the report, not in the flow: the kinetic energy x1.02.  By
+    # Parseval, ||u_t||_2 <= C_P ||grad u_t||_2 holds for every band-limited
+    # u_t, so no fault in the flow can FAIL poincare_margin; a kinetic energy
+    # read 2 % high lifts the margin to sqrt(1.02) = 1.00995.  The FAIL set is
+    # the same for the reference data 0.05 phi.
+    true_l2_norm_sq = functionals.l2_norm_sq
+    monkeypatch.setattr(functionals, "l2_norm_sq", lambda f: 1.02 * true_l2_norm_sq(f))
+    rows = checked_rows(0.6, 4.0, t_end=1.0)
+    assert failing(rows) == {"energy_identity", "virial_identity", "poincare_margin"}
+    assert rows["poincare_margin"][1] == pytest.approx(1.02 ** 0.5, rel=1e-5)
+    assert rows["energy_identity"][1] == pytest.approx(3.12e-3, rel=0.01)
+    assert rows["virial_identity"][1] == pytest.approx(4.34e-3, rel=0.01)
 
 
 # (scale, gamma, factor, rows that FAIL, energy_identity, virial_identity)
@@ -146,7 +178,7 @@ def test_decay_slows_nearer_the_nehari_manifold():
     # C2 of the true flow to t_end 5: 3.734 at s = 0.6 and 1.488 at s = 0.9,
     # against 3.778 for the reference data 0.05 phi (whose fit to t_end 20 is
     # the README's 3.010)
-    c2 = [true_rows(scale, 4.0)["decay_rate_positive"][1] for scale in (0.6, 0.9)]
+    c2 = [true_rows(scale, 4.0, 5.0)["decay_rate_positive"][1] for scale in (0.6, 0.9)]
     assert c2 == pytest.approx([3.734, 1.488], rel=1e-3)
 
 
